@@ -15,6 +15,13 @@ obs::PhaseAccum* slot_acc(obs::ProfLane* lane, usize k) {
   return &lane->proto[k < obs::ProfLane::kMaxProtoSlots ? k : obs::ProfLane::kMaxProtoSlots - 1];
 }
 
+/// Protocol slot `k`'s piggyback on `msg`: slot 0's is the one on the
+/// wire, the others ride in observer_pbs.
+template <typename Msg>
+auto& slot_pb(Msg& msg, usize k) {
+  return k == 0 ? msg.pb : msg.observer_pbs[k - 1];
+}
+
 }  // namespace
 
 ProtocolHarness::ProtocolHarness(net::Network& net, des::TraceSink* sink)
@@ -59,9 +66,6 @@ void ProtocolHarness::on_host_init(net::MobileHost& host) {
 }
 
 void ProtocolHarness::enable_sharding(u32 n_shards) {
-  if (retain_piggybacks_) {
-    throw std::logic_error("ProtocolHarness: duplicate-exposing runs are sequential-only");
-  }
   slices_.clear();
   slices_.resize(n_shards);
   for (auto& sl : slices_) {
@@ -111,85 +115,41 @@ void ProtocolHarness::finalize_sharding() {
 void ProtocolHarness::on_send(net::MobileHost& host, net::AppMessage& msg) {
   obs::ProfLane* plane = prof_ != nullptr ? &prof_->lane() : nullptr;
   obs::ProfScope prof_enc(plane != nullptr ? &plane->pb_encode : nullptr);
-  if (!slices_.empty()) {
-    // Sharded run: the piggybacks travel by value with the message (the
-    // sender's and receiver's shards share no parking pool), and the
-    // MessageLog update is journaled for the barrier.
-    msg.pbs.resize(slots_.size());
-    des::ShardContext* c = des::current_shard();
-    for (usize k = 0; k < slots_.size(); ++k) {
-      obs::ProfScope prof_slot(slot_acc(plane, k));
-      msg.pbs[k] = slots_[k]->protocol->make_piggyback(host, msg.dst);
-      if (c != nullptr) {
-        slices_[c->shard].pb_bytes[k] += msg.pbs[k].wire_bytes();
-        slices_[c->shard].pb_dense_bytes[k] += msg.pbs[k].dense_bytes();
-      } else {
-        slots_[k]->pb_bytes += msg.pbs[k].wire_bytes();
-        slots_[k]->pb_dense_bytes += msg.pbs[k].dense_bytes();
-      }
-    }
-    if (!msg.pbs.empty()) msg.pb = msg.pbs.front();  // slot 0 rides the wire
-    if (c != nullptr) {
-      slices_[c->shard].sends.push_back(SendRec{msg.id, msg.src, msg.dst, host.event_pos() + 1});
-    } else {
-      msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
-    }
-    return;
-  }
-  u32 idx;
-  if (!park_free_.empty()) {
-    idx = park_free_.back();
-    park_free_.pop_back();
-  } else {
-    idx = static_cast<u32>(park_.size());
-    park_.emplace_back();
-  }
-  Parked& parked = park_[idx];
-  parked.pbs.resize(slots_.size());
+  // Inside a shard window the byte counters and the MessageLog update go
+  // to the executing shard's slice; otherwise (sequential runs, and the
+  // coordinator phase of sharded ones) they apply directly.
+  des::ShardContext* c = des::current_shard();
+  msg.observer_pbs.resize(slots_.empty() ? 0 : slots_.size() - 1);
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
-    parked.pbs[k] = slots_[k]->protocol->make_piggyback(host, msg.dst);
-    slots_[k]->pb_bytes += parked.pbs[k].wire_bytes();
-    slots_[k]->pb_dense_bytes += parked.pbs[k].dense_bytes();
+    net::Piggyback& pb = slot_pb(msg, k);
+    pb = slots_[k]->protocol->make_piggyback(host, msg.dst);
+    u64& bytes = c != nullptr ? slices_[c->shard].pb_bytes[k] : slots_[k]->pb_bytes;
+    u64& dense = c != nullptr ? slices_[c->shard].pb_dense_bytes[k] : slots_[k]->pb_dense_bytes;
+    bytes += pb.wire_bytes();
+    dense += pb.dense_bytes();
   }
-  if (!parked.pbs.empty()) msg.pb = parked.pbs.front();  // slot 0 rides the wire
   // The send event will occupy the next position (see Network::send_app_message).
-  msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
-  in_flight_.emplace(msg.id, idx);
+  if (c != nullptr) {
+    slices_[c->shard].sends.push_back(SendRec{msg.id, msg.src, msg.dst, host.event_pos() + 1});
+  } else {
+    msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
+  }
 }
 
 void ProtocolHarness::on_receive(net::MobileHost& host, const net::AppMessage& msg) {
   obs::ProfLane* plane = prof_ != nullptr ? &prof_->lane() : nullptr;
   obs::ProfScope prof_merge(plane != nullptr ? &plane->pb_merge : nullptr);
-  if (!slices_.empty()) {
-    for (usize k = 0; k < slots_.size(); ++k) {
-      obs::ProfScope prof_slot(slot_acc(plane, k));
-      slots_[k]->protocol->handle_receive(host, msg, msg.pbs[k]);
-    }
-    if (des::ShardContext* c = des::current_shard()) {
-      slices_[c->shard].recvs.push_back(
-          RecvRec{c->sim->now(), msg.id, host.event_pos() + 1, msg.pb.sn});
-    } else {
-      msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.pb.sn);
-    }
-    return;
-  }
-  const auto it = in_flight_.find(msg.id);
-  if (it == in_flight_.end()) {
-    throw std::logic_error(
-        "ProtocolHarness: piggybacks for a delivered message are gone; "
-        "call retain_piggybacks(true) when the network exposes duplicates");
-  }
-  const std::vector<net::Piggyback>& pbs = park_[it->second].pbs;
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
-    slots_[k]->protocol->handle_receive(host, msg, pbs[k]);
+    slots_[k]->protocol->handle_receive(host, msg, slot_pb(msg, k));
   }
   // The receive event will occupy the next position (see Network::consume_one).
-  msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.pb.sn);
-  if (!retain_piggybacks_) {
-    park_free_.push_back(it->second);
-    in_flight_.erase(it);
+  if (des::ShardContext* c = des::current_shard()) {
+    slices_[c->shard].recvs.push_back(
+        RecvRec{c->sim->now(), msg.id, host.event_pos() + 1, msg.pb.sn});
+  } else {
+    msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.pb.sn);
   }
 }
 

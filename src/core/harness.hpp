@@ -6,11 +6,13 @@
 // sound — and statistically ideal — to run every protocol against the
 // same trace: each protocol keeps its own per-host state, its own
 // CheckpointLog / StorageModel, and produces its own piggyback for every
-// message (the harness routes each protocol its own control information
-// at receive time). Slot 0 is the "primary" protocol whose piggyback
-// physically rides on the wire (and is counted by NetworkStats); the
-// harness additionally accounts per-protocol piggyback bytes so overhead
-// comparisons cover every slot.
+// message. Every piggyback travels by value with the message: slot 0 is
+// the "primary" protocol whose piggyback physically rides on the wire
+// (AppMessage::pb, counted by NetworkStats); slots 1.. ride along in
+// AppMessage::observer_pbs, and each protocol reads back its own at
+// receive time. A duplicated delivery therefore carries its own copies.
+// The harness additionally accounts per-protocol piggyback bytes so
+// overhead comparisons cover every slot.
 //
 // The harness also maintains the MessageLog — the send/receive position
 // oracle used by the consistency checker and the rollback machinery.
@@ -60,10 +62,6 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// builders use it for virtual (current-state) members.
   std::vector<u64> current_positions() const;
 
-  /// Keep per-message piggybacks after first delivery (required when the
-  /// network exposes duplicate deliveries to the application).
-  void retain_piggybacks(bool retain) noexcept { retain_piggybacks_ = retain; }
-
   /// Routes checkpoint-timeline probes into `timeline` (nullptr = off).
   /// Must be called before add_protocol; later slots inherit it.
   void set_timeline(obs::Timeline* timeline) noexcept { timeline_ = timeline; }
@@ -82,10 +80,10 @@ class ProtocolHarness final : public net::HostEventHandler {
   // -- spatial sharding -------------------------------------------------
 
   /// Switches the harness into shard-parallel mode (call after every
-  /// add_protocol): piggybacks travel by value on messages instead of
-  /// through the pooled shared parking, per-slot piggyback bytes go to
-  /// per-shard slices, and MessageLog updates are journaled per shard
-  /// for the barrier merge.
+  /// add_protocol): per-slot piggyback bytes go to per-shard slices and
+  /// MessageLog updates are journaled per shard for the barrier merge.
+  /// Piggybacks need no switch — they always travel by value on the
+  /// message, so sender and receiver shards share no state for them.
   void enable_sharding(u32 n_shards);
 
   /// Barrier-time merge (coordinator, shards parked): folds this window's
@@ -113,13 +111,6 @@ class ProtocolHarness final : public net::HostEventHandler {
     std::unique_ptr<StorageModel> storage;
     u64 pb_bytes = 0;
     u64 pb_dense_bytes = 0;
-  };
-
-  /// Pooled per-message piggyback parking: slots are recycled after
-  /// delivery so the inner vectors keep their capacity and steady-state
-  /// sends stop allocating.
-  struct Parked {
-    std::vector<net::Piggyback> pbs;
   };
 
   struct SendRec {
@@ -152,12 +143,6 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// storage, which must stay stable as more slots are added.
   std::vector<std::unique_ptr<Slot>> slots_;
   MessageLog msg_log_;
-  /// msg id -> pool index; the pool entry holds one piggyback per slot,
-  /// parked between send and receive.
-  std::unordered_map<u64, u32> in_flight_;
-  std::vector<Parked> park_;
-  std::vector<u32> park_free_;
-  bool retain_piggybacks_ = false;
   std::vector<Slice> slices_;  ///< Non-empty exactly in sharded mode.
 };
 

@@ -102,13 +102,11 @@ struct AppMessage {
   u32 payload_bytes = 0;    ///< Application payload size (excl. piggyback).
   des::Time sent_at = 0.0;
   u64 send_pos = 0;         ///< Sender's event position at send (consistency oracle).
-  Piggyback pb;
-  /// Sharded runs only: every protocol slot's piggyback travels by value
-  /// with the message (sender and receiver may live on different shards,
-  /// so the harness cannot park them in a shared pool). Sequential runs
-  /// leave this empty and use the pooled parking path. Slot 0's piggyback
-  /// is still mirrored into `pb` — that is the one on the wire.
-  std::vector<Piggyback> pbs;
+  Piggyback pb;             ///< Protocol slot 0's piggyback: the one on the wire.
+  /// Piggybacks of paired-observer slots 1..k-1 (slot 0 excluded — it is
+  /// `pb`). They travel by value with the message, so every copy of it
+  /// (a duplicate delivery, a cross-shard leg) carries its own.
+  std::vector<Piggyback> observer_pbs;
 
   usize wire_bytes() const noexcept { return payload_bytes + pb.wire_bytes(); }
 };

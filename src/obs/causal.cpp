@@ -47,8 +47,8 @@ void RecoveryLineTracker::on_checkpoint(u32 host, u64 sn, CkptKind kind, u64 tri
   if (kind == CkptKind::kForced) {
     chain = 1;  // marker-forced: the chain starts here
     if (trigger_msg != 0) {
-      const auto it = in_flight_.find(trigger_msg);
-      if (it != in_flight_.end()) chain = it->second.chain_at_send + 1;
+      const auto it = sent_msgs_.find(trigger_msg);
+      if (it != sent_msgs_.end()) chain = it->second.chain_at_send + 1;
     }
     if (chain_h_ != nullptr) chain_h_->add(static_cast<f64>(chain));
     max_chain_ = std::max<u64>(max_chain_, chain);
@@ -77,12 +77,12 @@ void RecoveryLineTracker::on_send(u32 host, u64 msg_id) {
     info.dep[host] = static_cast<u32>(h.sns.size());
     h.phase_send = true;
   }
-  in_flight_[msg_id] = std::move(info);
+  sent_msgs_[msg_id] = std::move(info);
 }
 
 void RecoveryLineTracker::on_deliver(u32 host, u64 msg_id) {
-  const auto it = in_flight_.find(msg_id);
-  if (it == in_flight_.end()) return;  // foreign message (manual scripts)
+  const auto it = sent_msgs_.find(msg_id);
+  if (it == sent_msgs_.end()) return;  // foreign message (manual scripts)
   const MsgInfo& info = it->second;
   HostState& h = hosts_.at(host);
   const u32 di = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);

@@ -135,7 +135,7 @@ class RecoveryLineTracker {
   TrackerMode mode_;
   u32 n_;
   std::vector<HostState> hosts_;
-  std::unordered_map<u64, MsgInfo> in_flight_;
+  std::unordered_map<u64, MsgInfo> sent_msgs_;
   std::vector<Edge> edges_;
   u64 committed_ = 0;
   u64 useless_ = 0;

@@ -49,8 +49,9 @@ struct ExperimentOptions {
   /// runs the classic sequential loop with zero sharding machinery.
   /// Values > 1 are clamped to the MSS-cell count; the merged run is
   /// bit-identical to shards=1 (same trace hash, same FigureResult).
-  /// Sharded runs are incompatible with observers and with
-  /// duplicate-exposing network configs (both stay sequential-only).
+  /// Sharded runs are incompatible with observers and with duplicating
+  /// channels: the network refuses both (duplication draws from one
+  /// shared channel RNG), so they stay sequential-only.
   u32 shards = 1;
 
   /// Non-owning observability hookup (nullptr = off, the default: the

@@ -8,6 +8,7 @@
 #include "core/protocols/tp.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
+#include "sim/experiment.hpp"
 
 namespace mobichk::core {
 namespace {
@@ -128,6 +129,9 @@ TEST_F(HarnessTest, UndeliveredMessagesAreTracked) {
 }
 
 TEST(HarnessDuplicates, RetainedPiggybacksServeDuplicateDeliveries) {
+  // No opt-in: every piggyback rides the message by value, so each
+  // duplicate delivery carries its own copy of slot 0's (TP: two dense
+  // vectors) and of the observer slot's (BCS: one index).
   des::Simulator sim;
   net::NetworkConfig cfg;
   cfg.n_hosts = 2;
@@ -136,7 +140,7 @@ TEST(HarnessDuplicates, RetainedPiggybacksServeDuplicateDeliveries) {
   cfg.transport_dedup = false;
   net::Network net(sim, cfg, 5);
   ProtocolHarness harness(net);
-  harness.retain_piggybacks(true);
+  harness.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kDense));
   harness.add_protocol(std::make_unique<BcsProtocol>());
   net.start({0, 0});
   for (int i = 0; i < 100; ++i) net.send_app_message(0, 1, 4);
@@ -146,6 +150,30 @@ TEST(HarnessDuplicates, RetainedPiggybacksServeDuplicateDeliveries) {
   while (net.consume_one(1)) ++consumed;
   EXPECT_EQ(consumed, 100u + net.stats().duplicates_generated);
   EXPECT_EQ(harness.message_log().deliveries().size(), consumed);
+}
+
+TEST(HarnessDuplicates, DuplicateExposingExperimentMatchesPinnedRun) {
+  // Figure 1 network with duplicates reaching the application, so every
+  // slot's piggyback is read more than once per message. Pinned hash and
+  // N_tot: how piggybacks travel must never change what the run does.
+  sim::SimConfig cfg;
+  cfg.sim_length = 20'000.0;
+  cfg.t_switch = 1'000.0;
+  cfg.p_switch = 1.0;
+  cfg.heterogeneity = 0.0;
+  cfg.seed = 42;
+  cfg.network.duplicate_prob = 0.2;
+  cfg.network.transport_dedup = false;
+  sim::ExperimentOptions opts;
+  opts.collect_trace_hash = true;
+  const sim::RunResult r = sim::run_experiment(cfg, opts);
+  EXPECT_GT(r.net.duplicates_generated, 0u);
+  EXPECT_EQ(r.net.duplicates_suppressed, 0u);
+  EXPECT_TRUE(r.invariants_ok);
+  EXPECT_EQ(r.trace_hash, 0xc9111612ff20c6fdull);
+  EXPECT_EQ(r.by_name("TP").n_tot, 2'308u);
+  EXPECT_EQ(r.by_name("BCS").n_tot, 623u);
+  EXPECT_EQ(r.by_name("QBC").n_tot, 565u);
 }
 
 TEST(HarnessFactory, AllProtocolsInstantiateAndRun) {
