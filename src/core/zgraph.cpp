@@ -1,30 +1,23 @@
 #include "core/zgraph.hpp"
 
-#include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace mobichk::core {
 
 IntervalGraph::IntervalGraph(const CheckpointLog& log, const MessageLog& messages) : log_(log) {
-  const u32 n = log.n_hosts();
-  interval_count_.resize(n);
-  node_base_.resize(n);
-  for (net::HostId h = 0; h < n; ++h) {
+  std::vector<u64> counts(log.n_hosts());
+  for (net::HostId h = 0; h < log.n_hosts(); ++h) {
     if (log.count(h) == 0) {
       throw std::invalid_argument("IntervalGraph: host without checkpoints");
     }
-    node_base_[h] = node_total_;
-    interval_count_[h] = log.count(h);
-    node_total_ += static_cast<usize>(log.count(h));
+    counts[h] = log.count(h);
   }
-  message_adj_.resize(node_total_);
+  graph_ = obs::ZigzagGraph(counts);
   for (const auto& d : messages.deliveries()) {
-    const u64 src_interval = interval_of(d.src, d.send_pos);
-    const u64 dst_interval = interval_of(d.dst, d.recv_pos);
-    message_adj_[node_id(d.src, src_interval)].push_back(
-        static_cast<u32>(node_id(d.dst, dst_interval)));
+    graph_.add_message(d.src, interval_of(d.src, d.send_pos), d.dst,
+                       interval_of(d.dst, d.recv_pos));
   }
+  graph_.find_z_cycles();
 }
 
 u64 IntervalGraph::interval_of(net::HostId host, u64 pos) const {
@@ -36,67 +29,10 @@ u64 IntervalGraph::interval_of(net::HostId host, u64 pos) const {
   return rec != nullptr ? rec->ordinal : 0;
 }
 
-std::vector<bool> IntervalGraph::reach_from(net::HostId host, u64 interval) const {
-  std::vector<bool> visited(node_total_, false);
-  std::vector<bool> msg_entry(node_total_, false);
-  std::deque<usize> queue;
-  const usize start = node_id(host, interval);
-  visited[start] = true;
-  queue.push_back(start);
-  while (!queue.empty()) {
-    const usize u = queue.front();
-    queue.pop_front();
-    // Forward edge to the next interval of the same host.
-    // Recover (host, interval) from the node id.
-    // (Linear scan over hosts is avoided by storing host in the walk.)
-    for (const u32 v : message_adj_[u]) {
-      msg_entry[v] = true;
-      if (!visited[v]) {
-        visited[v] = true;
-        queue.push_back(v);
-      }
-    }
-    // Forward edge: u+1 belongs to the same host iff it is below the next
-    // host's base. Find the host of u cheaply via binary search.
-    const usize next = u + 1;
-    if (next < node_total_) {
-      // Host of u: the last base <= u.
-      const auto it = std::upper_bound(node_base_.begin(), node_base_.end(), u);
-      const usize host_of_u = static_cast<usize>(it - node_base_.begin()) - 1;
-      const usize host_end = host_of_u + 1 < node_base_.size() ? node_base_[host_of_u + 1]
-                                                               : node_total_;
-      if (next < host_end && !visited[next]) {
-        visited[next] = true;
-        queue.push_back(next);
-      }
-    }
-  }
-  // Terminal condition needs message-entered nodes only.
-  return msg_entry;
-}
-
-bool IntervalGraph::z_path_exists(net::HostId a, u64 xa, net::HostId b, u64 xb) const {
-  if (xa >= intervals(a) || xb >= intervals(b) + 1) return false;
-  const std::vector<bool> msg_entry = reach_from(a, xa);
-  // The final message of the Z-path must be received in an interval
-  // strictly before checkpoint C_{b,xb}, i.e. interval index <= xb - 1.
-  for (u64 y = 0; y < xb && y < intervals(b); ++y) {
-    if (msg_entry[node_id(b, y)]) return true;
-  }
-  return false;
-}
-
-bool IntervalGraph::on_z_cycle(net::HostId host, u64 ordinal) const {
-  if (ordinal == 0) return false;  // nothing precedes the initial checkpoint
-  if (ordinal >= intervals(host)) return false;
-  return z_path_exists(host, ordinal, host, ordinal);
-}
-
 std::vector<const CheckpointRecord*> IntervalGraph::useless_checkpoints() const {
   std::vector<const CheckpointRecord*> out;
   for (net::HostId h = 0; h < log_.n_hosts(); ++h) {
     for (const auto& rec : log_.of(h)) {
-      if (rec.ordinal == 0) continue;
       if (on_z_cycle(h, rec.ordinal)) out.push_back(&rec);
     }
   }

@@ -16,10 +16,13 @@
 //   * message edges (i,x) -> (j,y) for every message sent in interval x
 //     of i and received in interval y of j (intra-interval ordering is
 //     deliberately ignored — that is exactly the zigzag allowance).
-// A Z-cycle through C_{i,x} exists iff some node (i, y) with y < x is
-// reachable from (i, x): the path starts with a send after C_{i,x}
-// (interval >= x) and ends with a receive before it (interval <= x-1),
-// and only message edges can decrease an interval index.
+// C_{i,x} (x >= 1) lies on a Z-cycle iff (i,x-1) and (i,x) are in the
+// same strongly connected component. Proof: a path from (i,x) back to
+// some (i,y), y < x, must end with a message edge into an interval <= x-1
+// of i (only message edges lower an interval index), and forward edges
+// carry it on to (i,x-1); (i,x-1) -> (i,x) is always an edge. So one
+// linear SCC pass (obs::ZigzagGraph, shared with the online
+// RecoveryLineTracker) answers every checkpoint at once.
 #pragma once
 
 #include <vector>
@@ -28,6 +31,7 @@
 #include "core/message_log.hpp"
 #include "des/types.hpp"
 #include "net/ids.hpp"
+#include "obs/zigzag.hpp"
 
 namespace mobichk::core {
 
@@ -42,16 +46,22 @@ class IntervalGraph {
 
   /// Number of intervals of `host` (= its checkpoint count; the last is
   /// open-ended).
-  u64 intervals(net::HostId host) const { return interval_count_.at(host); }
+  u64 intervals(net::HostId host) const { return graph_.intervals(host); }
 
   /// True iff a zigzag path exists from checkpoint C_{a, xa} to
   /// checkpoint C_{b, xb} — i.e. a message chain starting after C_{a,xa}
-  /// and ending before C_{b,xb}, with zigzag continuations allowed.
-  bool z_path_exists(net::HostId a, u64 xa, net::HostId b, u64 xb) const;
+  /// and ending before C_{b,xb}, with zigzag continuations allowed. One
+  /// graph search per call: the reference the Z-cycle flags are tested
+  /// against.
+  bool z_path_exists(net::HostId a, u64 xa, net::HostId b, u64 xb) const {
+    return graph_.z_path_exists(a, xa, b, xb);
+  }
 
   /// True iff checkpoint C_{host, ordinal} lies on a zigzag cycle
   /// (equivalently: belongs to no consistent global checkpoint).
-  bool on_z_cycle(net::HostId host, u64 ordinal) const;
+  bool on_z_cycle(net::HostId host, u64 ordinal) const {
+    return graph_.on_z_cycle(host, ordinal);
+  }
 
   /// All useless checkpoints of the run (excluding initial checkpoints,
   /// which trivially precede everything).
@@ -60,20 +70,8 @@ class IntervalGraph {
   u64 useless_count() const { return useless_checkpoints().size(); }
 
  private:
-  usize node_id(net::HostId host, u64 interval) const {
-    return node_base_.at(host) + static_cast<usize>(interval);
-  }
-
-  /// BFS over forward + message edges from (host, interval); returns the
-  /// reachable-node bitmap.
-  std::vector<bool> reach_from(net::HostId host, u64 interval) const;
-
   const CheckpointLog& log_;
-  std::vector<u64> interval_count_;
-  std::vector<usize> node_base_;
-  usize node_total_ = 0;
-  /// Message edges, adjacency by source node.
-  std::vector<std::vector<u32>> message_adj_;
+  obs::ZigzagGraph graph_;
 };
 
 }  // namespace mobichk::core

@@ -1,7 +1,6 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace mobichk::obs {
@@ -173,81 +172,22 @@ std::vector<LineMember> RecoveryLineTracker::tp_line(u32 host, u64 ordinal) cons
   return line;
 }
 
-usize RecoveryLineTracker::node_id(u32 host, u64 interval) const {
-  return node_base_[host] + static_cast<usize>(interval);
-}
-
-std::vector<bool> RecoveryLineTracker::message_reach(u32 host, u64 interval) const {
-  std::vector<bool> visited(node_total_, false);
-  std::vector<bool> msg_entry(node_total_, false);
-  std::deque<usize> queue;
-  const usize start = node_id(host, interval);
-  visited[start] = true;
-  queue.push_back(start);
-  while (!queue.empty()) {
-    const usize u = queue.front();
-    queue.pop_front();
-    for (const u32 v : message_adj_[u]) {
-      msg_entry[v] = true;
-      if (!visited[v]) {
-        visited[v] = true;
-        queue.push_back(v);
-      }
-    }
-    const usize next = u + 1;
-    if (next < node_total_) {
-      const auto it = std::upper_bound(node_base_.begin(), node_base_.end(), u);
-      const usize host_of_u = static_cast<usize>(it - node_base_.begin()) - 1;
-      const usize host_end =
-          host_of_u + 1 < node_base_.size() ? node_base_[host_of_u + 1] : node_total_;
-      if (next < host_end && !visited[next]) {
-        visited[next] = true;
-        queue.push_back(next);
-      }
-    }
-  }
-  return msg_entry;
-}
-
 void RecoveryLineTracker::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  // Lay out the interval-graph nodes exactly like core::IntervalGraph:
-  // one node per (host, checkpoint ordinal); interval x is opened by
-  // checkpoint x.
-  node_base_.assign(n_, 0);
-  node_total_ = 0;
-  for (u32 h = 0; h < n_; ++h) {
-    node_base_[h] = node_total_;
-    node_total_ += hosts_[h].sns.size();
-  }
-  message_adj_.assign(node_total_, {});
-  for (const Edge& e : edges_) {
-    if (e.si >= hosts_[e.src].sns.size() || e.di >= hosts_[e.dst].sns.size()) continue;
-    message_adj_[node_id(e.src, e.si)].push_back(static_cast<u32>(node_id(e.dst, e.di)));
-  }
-  z_cycle_.assign(node_total_, 0);
-  useless_ = 0;
-  for (u32 h = 0; h < n_; ++h) {
-    for (u64 x = 1; x < hosts_[h].sns.size(); ++x) {
-      const std::vector<bool> entry = message_reach(h, x);
-      for (u64 y = 0; y < x; ++y) {
-        if (entry[node_id(h, y)]) {
-          z_cycle_[node_id(h, x)] = 1;
-          ++useless_;
-          break;
-        }
-      }
-    }
-  }
+  // Interval x of a host is opened by its checkpoint x.
+  std::vector<u64> counts(n_);
+  for (u32 h = 0; h < n_; ++h) counts[h] = hosts_[h].sns.size();
+  zigzag_ = ZigzagGraph(counts);
+  for (const Edge& e : edges_) zigzag_.add_message(e.src, e.si, e.dst, e.di);
+  useless_ = zigzag_.find_z_cycles();
   if (useless_c_ != nullptr) useless_c_->add(useless_);
   advance_committed();
 }
 
 bool RecoveryLineTracker::on_z_cycle(u32 host, u64 ordinal) const {
   if (!finalized_) throw std::logic_error("RecoveryLineTracker::on_z_cycle before finalize()");
-  if (ordinal == 0 || ordinal >= hosts_.at(host).sns.size()) return false;
-  return z_cycle_[node_id(host, ordinal)] != 0;
+  return zigzag_.on_z_cycle(host, ordinal);
 }
 
 CausalMonitor::CausalMonitor(u32 n_hosts, const std::vector<TrackerMode>& modes,

@@ -13,7 +13,11 @@
 // VC-consistency / Z-cycle verdicts.
 //
 // This layer deliberately never includes core headers: it must work from
-// the probe stream alone, or the reconciliation would be circular.
+// the probe stream alone, or the reconciliation would be circular. The
+// tracker and core::IntervalGraph do share the Z-cycle *algorithm*
+// (obs::ZigzagGraph, itself pinned by its reference search in
+// tests/obs/test_zigzag.cpp), but each derives its interval-graph edges
+// independently: the tracker from probe events, the oracle from the logs.
 #pragma once
 
 #include <memory>
@@ -23,6 +27,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
+#include "obs/zigzag.hpp"
 
 namespace mobichk::obs {
 
@@ -127,10 +132,6 @@ class RecoveryLineTracker {
   };
 
   void advance_committed();
-  usize node_id(u32 host, u64 interval) const;
-  /// Intervals reachable from (host, interval) via a message edge
-  /// (the Z-cycle terminal condition needs message-entered nodes only).
-  std::vector<bool> message_reach(u32 host, u64 interval) const;
 
   TrackerMode mode_;
   u32 n_;
@@ -142,11 +143,7 @@ class RecoveryLineTracker {
   u64 max_chain_ = 0;
   u64 phase_violations_ = 0;
   bool finalized_ = false;
-  // Finalize-time graph layout (parallel to IntervalGraph's node space).
-  std::vector<usize> node_base_;
-  usize node_total_ = 0;
-  std::vector<std::vector<u32>> message_adj_;
-  std::vector<u8> z_cycle_;  ///< Per node: on a Z-cycle (after finalize).
+  ZigzagGraph zigzag_;  ///< The online interval graph (built by finalize).
   // Metrics (null until resolve_metrics).
   Gauge* line_index_g_ = nullptr;
   Gauge* lag_max_g_ = nullptr;

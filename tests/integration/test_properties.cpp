@@ -273,16 +273,47 @@ TEST_P(ProtocolProperties, DominoFreeProtocolsHaveNoUselessCheckpoints) {
 
 TEST_P(ProtocolProperties, UncoordinatedCheckpointingProducesUselessCheckpoints) {
   // The contrast case: with independent local checkpoints, zigzag cycles
-  // appear under any meaningful communication load.
+  // appear under any meaningful communication load. LAZY-BCS(k=8) rides
+  // along as a second foil that also has an online tracker. On both, the
+  // linear Z-cycle pass must agree with the per-checkpoint reference
+  // search on every checkpoint — the differential check that needs runs
+  // with many useless checkpoints, which the domino-free protocols never
+  // produce.
   SimConfig cfg = config();
   cfg.comm_mean = 5.0;  // dense communication makes Z-cycles likely
+  obs::RunObserver observer;
   ExperimentOptions opts;
-  opts.protocols = {core::ProtocolKind::kUncoordinated};
+  opts.protocols = {core::ProtocolKind::kUncoordinated, core::ProtocolKind::kLazyBcs};
   opts.params.uncoordinated_mean_period = 50.0;
+  opts.params.lazy_bcs_laziness = 8;
+  opts.observer = &observer;
   Experiment exp(cfg, opts);
   exp.run();
-  const core::IntervalGraph graph(exp.log(0), exp.harness().message_log());
-  EXPECT_GT(graph.useless_count(), 0u);
+  const auto& messages = exp.harness().message_log();
+  for (usize slot = 0; slot < opts.protocols.size(); ++slot) {
+    SCOPED_TRACE(core::protocol_kind_name(exp.kind(slot)));
+    const core::CheckpointLog& log = exp.log(slot);
+    const core::IntervalGraph graph(log, messages);
+    const obs::RecoveryLineTracker* tracker = observer.causal()->tracker(slot);
+    ASSERT_EQ(tracker != nullptr, slot == 1);  // UNCOORD has no online line
+    for (net::HostId h = 0; h < log.n_hosts(); ++h) {
+      if (tracker != nullptr) {
+        ASSERT_EQ(tracker->checkpoints(h), log.of(h).size());
+      }
+      for (u64 x = 0; x < log.of(h).size(); ++x) {
+        const bool reference = x > 0 && graph.z_path_exists(h, x, h, x);
+        EXPECT_EQ(graph.on_z_cycle(h, x), reference) << "checkpoint h" << h << "#" << x;
+        if (tracker != nullptr) {
+          EXPECT_EQ(tracker->on_z_cycle(h, x), reference) << "online h" << h << "#" << x;
+        }
+      }
+    }
+    if (slot == 0) {
+      EXPECT_GT(graph.useless_count(), 0u);
+    } else {
+      EXPECT_EQ(tracker->useless_count(), graph.useless_count());
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
