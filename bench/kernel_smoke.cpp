@@ -77,6 +77,17 @@ f64 seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<f64>(std::chrono::steady_clock::now() - t0).count();
 }
 
+/// run_experiment with Experiment construction (set-up) timed apart from
+/// run(), so a point's serial set-up is attributed rather than guessed.
+sim::RunResult run_experiment_timed(const sim::SimConfig& cfg, const sim::ExperimentOptions& opts,
+                                    f64& setup_seconds) {
+  const auto t0 = std::chrono::steady_clock::now();
+  sim::Experiment exp(cfg, opts);
+  setup_seconds = seconds_since(t0);
+  exp.run();
+  return exp.result();
+}
+
 /// Self-rescheduling exponential-ish churn via the closure escape hatch.
 u64 run_closure_churn(des::Simulator& sim, des::RngStream& rng) {
   u64 fired = 0;
@@ -298,12 +309,14 @@ int run(int argc, char** argv) {
   sim::ExperimentOptions shard_opts;
   shard_opts.queue_kind = des::QueueKind::kCalendar;
   shard_opts.collect_trace_hash = true;
+  f64 shard_seq_setup = 0.0;
+  f64 shard_par_setup = 0.0;
   const auto seq_t0 = std::chrono::steady_clock::now();
-  const sim::RunResult shard_seq = sim::run_experiment(shard_cfg, shard_opts);
+  const sim::RunResult shard_seq = run_experiment_timed(shard_cfg, shard_opts, shard_seq_setup);
   const f64 shard_seq_wall = seconds_since(seq_t0);
   shard_opts.shards = 4;
   const auto par_t0 = std::chrono::steady_clock::now();
-  const sim::RunResult shard_par = sim::run_experiment(shard_cfg, shard_opts);
+  const sim::RunResult shard_par = run_experiment_timed(shard_cfg, shard_opts, shard_par_setup);
   const f64 shard_par_wall = seconds_since(par_t0);
   const f64 shard_speedup = shard_seq_wall / shard_par_wall;
   std::printf("  shard point: n=10^5 x4 shards, %llu events, %.3fs -> %.3fs (%.2fx, "
@@ -314,6 +327,8 @@ int run(int argc, char** argv) {
               shard_par.barrier_stall_seconds,
               static_cast<unsigned long long>(shard_seq.trace_hash),
               static_cast<unsigned long long>(shard_par.trace_hash));
+  std::printf("  shard point set-up: %.3fs sequential, %.3fs at 4 shards\n", shard_seq_setup,
+              shard_par_setup);
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {
@@ -356,6 +371,8 @@ int run(int argc, char** argv) {
   std::fprintf(out, "  \"shard_count\": 4,\n");
   std::fprintf(out, "  \"shard_seq_wall_seconds\": %.4f,\n", shard_seq_wall);
   std::fprintf(out, "  \"shard_par_wall_seconds\": %.4f,\n", shard_par_wall);
+  std::fprintf(out, "  \"shard_seq_setup_seconds\": %.4f,\n", shard_seq_setup);
+  std::fprintf(out, "  \"shard_par_setup_seconds\": %.4f,\n", shard_par_setup);
   std::fprintf(out, "  \"shard_speedup\": %.3f,\n", shard_speedup);
   std::fprintf(out, "  \"shard_sync_rounds\": %llu,\n",
                static_cast<unsigned long long>(shard_par.sync_rounds));

@@ -12,25 +12,22 @@
 // allocates nothing.
 //
 // A generic closure kind remains as the escape hatch for tests, analysis
-// probes and one-off experiment hooks; it pays the old allocation cost but
-// rides the same (time, seq) ordering, so mixing the two representations
-// cannot perturb a trace.
+// probes and one-off experiment hooks. The Simulator parks the closure
+// beside the entry's queue slot, not in the entry, so every entry stays
+// trivially copyable and the queues move no std::function. A closure
+// rides the same (time, seq) ordering as a typed event, so mixing the two
+// representations cannot perturb a trace.
 #pragma once
-
-#include <functional>
 
 #include "des/types.hpp"
 
 namespace mobichk::des {
 
-/// Callback executed when a closure-kind event fires (the escape hatch).
-using EventFn = std::function<void()>;
-
 /// Discriminator of the typed payload union. The domain's recurring event
 /// shapes are baked in (like TraceKind) so the kernel stays allocation-free
 /// for every production scheduling site.
 enum class EventKind : u8 {
-  kClosure = 0,         ///< Generic escape hatch; the entry's `fn` runs.
+  kClosure = 0,         ///< Generic escape hatch; the Simulator runs the parked closure.
   kMessageHop,          ///< A message leg (uplink, wired hop, downlink) completes.
   kHandoff,             ///< Mobility residence timer: a cell switch is due.
   kConnectivity,        ///< Mobility timer: a disconnect or reconnect is due.

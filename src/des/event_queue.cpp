@@ -24,35 +24,38 @@ constexpr usize kDeadSlack = 64;
 
 EventHandle BinaryHeapQueue::push(EventEntry entry) {
   const EventHandle handle = slots_.acquire();
-  entry.slot = handle.slot;
-  heap_.push_back(std::move(entry));
+  if (handle.slot >= payloads_.size()) payloads_.resize(handle.slot + 1);
+  payloads_[handle.slot] = entry.payload;
+  heap_.push_back(Key{entry.time, entry.seq, handle.slot});
   sift_up(heap_.size() - 1);
   ++live_;
   assert(heap_.size() == live_ + dead_);
   return handle;
 }
 
+void BinaryHeapQueue::remove_top() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0);
+}
+
 void BinaryHeapQueue::drop_cancelled_top() {
   while (!heap_.empty() && slots_.is_cancelled(heap_.front().slot)) {
     slots_.release(heap_.front().slot);
     --dead_;
-    std::swap(heap_.front(), heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    remove_top();
   }
 }
 
 EventEntry BinaryHeapQueue::pop() {
   drop_cancelled_top();
   assert(!heap_.empty() && "pop() on empty queue");
-  EventEntry out = std::move(heap_.front());
-  std::swap(heap_.front(), heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
-  slots_.release(out.slot);
+  const Key top = heap_.front();
+  remove_top();
+  slots_.release(top.slot);
   --live_;
   assert(heap_.size() == live_ + dead_);
-  return out;
+  return EventEntry{top.time, top.seq, top.slot, payloads_[top.slot]};
 }
 
 Time BinaryHeapQueue::peek_time() {
@@ -87,42 +90,41 @@ void BinaryHeapQueue::compact() {
   // order is unaffected: the heap property plus the (time, seq) comparator
   // determine it regardless of internal layout.
   ++compactions_;
-  usize kept = 0;
-  for (usize i = 0; i < heap_.size(); ++i) {
-    if (slots_.is_cancelled(heap_[i].slot)) {
-      slots_.release(heap_[i].slot);
-      continue;
-    }
-    if (kept != i) heap_[kept] = std::move(heap_[i]);
-    ++kept;
-  }
-  heap_.resize(kept);
+  std::erase_if(heap_, [this](const Key& k) {
+    if (!slots_.is_cancelled(k.slot)) return false;
+    slots_.release(k.slot);
+    return true;
+  });
   dead_ = 0;
   for (usize i = heap_.size() / 2; i-- > 0;) sift_down(i);
   assert(heap_.size() == live_);
 }
 
+// Hole-based sifts: the moving key is held aside while the keys it passes
+// shift one level, so each step is one 24-byte copy instead of a swap.
 void BinaryHeapQueue::sift_up(usize i) {
+  const Key key = heap_[i];
   while (i > 0) {
     const usize parent = (i - 1) / 2;
-    if (!(heap_[i] < heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!(key < heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = key;
 }
 
 void BinaryHeapQueue::sift_down(usize i) {
   const usize n = heap_.size();
+  const Key key = heap_[i];
   for (;;) {
-    const usize l = 2 * i + 1;
-    const usize r = 2 * i + 2;
-    usize smallest = i;
-    if (l < n && heap_[l] < heap_[smallest]) smallest = l;
-    if (r < n && heap_[r] < heap_[smallest]) smallest = r;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+    usize child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+    if (!(heap_[child] < key)) break;
+    heap_[i] = heap_[child];
+    i = child;
   }
+  heap_[i] = key;
 }
 
 // ---------------------------------------------------------------------------

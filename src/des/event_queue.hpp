@@ -22,6 +22,7 @@
 #include <limits>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "des/event.hpp"
@@ -42,13 +43,13 @@ struct EventHandle {
   bool valid() const noexcept { return gen != 0; }
 };
 
-/// A scheduled event as stored in / returned by a queue.
+/// A scheduled event as stored in / returned by a queue; trivially
+/// copyable (a closure's callable waits in the Simulator, by slot).
 struct EventEntry {
   Time time = 0.0;
   u64 seq = 0;  ///< Global scheduling order; breaks time ties deterministically.
   u32 slot = 0; ///< Filled by the queue at push; cancellation bookkeeping.
   EventPayload payload;  ///< Inline typed payload (no per-event allocation).
-  EventFn fn;            ///< Engaged only when payload.kind == kClosure.
 
   friend bool operator<(const EventEntry& a, const EventEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
@@ -188,9 +189,12 @@ const char* queue_kind_name(QueueKind kind) noexcept;
 QueueKind queue_kind_from_name(std::string_view name);
 
 /// Binary min-heap over (time, seq) with lazy, handle-based cancellation.
-/// Cancelled entries stay in the heap until they surface (or until a
-/// compaction pass); their count is bounded by the live count plus a
-/// constant, so cancel-heavy runs cannot grow the structure without bound.
+/// The heap orders only a 24-byte (time, seq, slot) key; each payload
+/// waits in a slot-indexed array beside the SlotTable, so a sift moves
+/// keys and never a payload. Cancelled entries stay in the heap until they
+/// surface (or until a compaction pass); their count is bounded by the
+/// live count plus a constant, so cancel-heavy runs cannot grow the
+/// structure without bound.
 class BinaryHeapQueue final : public EventQueue {
  public:
   EventHandle push(EventEntry entry) override;
@@ -205,12 +209,25 @@ class BinaryHeapQueue final : public EventQueue {
   const char* name() const noexcept override { return "binary-heap"; }
 
  private:
+  /// What the heap orders. The slot indexes payloads_ and slots_.
+  struct Key {
+    Time time;
+    u64 seq;
+    u32 slot;
+    friend bool operator<(const Key& a, const Key& b) noexcept {
+      return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+  };
+  static_assert(sizeof(Key) <= 24 && std::is_trivially_copyable_v<Key>);
+
   void sift_up(usize i);
   void sift_down(usize i);
+  void remove_top();  ///< Moves the last key to the root and sifts it down.
   void drop_cancelled_top();
   void compact();
 
-  std::vector<EventEntry> heap_;
+  std::vector<Key> heap_;
+  std::vector<EventPayload> payloads_;  ///< Indexed by slot.
   SlotTable slots_;
   usize live_ = 0;  ///< Entries neither cancelled nor popped.
   usize dead_ = 0;  ///< Cancelled entries still physically in the heap.

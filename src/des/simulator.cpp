@@ -15,10 +15,10 @@ EventHandle Simulator::enqueue(Time t, EventEntry entry) {
   EventHandle handle;
   if (prof_ != nullptr) {
     const u64 t0 = obs::prof_now_ns();
-    handle = queue_->push(std::move(entry));
+    handle = queue_->push(entry);
     prof_->queue_push.add(obs::prof_now_ns() - t0);
   } else {
-    handle = queue_->push(std::move(entry));
+    handle = queue_->push(entry);
   }
   ++invariants_.scheduled;
   if (queue_->size() > invariants_.max_pending) invariants_.max_pending = queue_->size();
@@ -29,15 +29,14 @@ EventHandle Simulator::enqueue(Time t, EventEntry entry) {
 EventHandle Simulator::schedule_at(Time t, const EventPayload& payload) {
   assert(payload.kind != EventKind::kClosure && "typed payload must not be kClosure");
   assert(payload.target != nullptr && "typed payload needs a target");
-  EventEntry entry;
-  entry.payload = payload;
-  return enqueue(t, std::move(entry));
+  return enqueue(t, EventEntry{0.0, 0, 0, payload});
 }
 
 EventHandle Simulator::schedule_at(Time t, EventFn fn) {
-  EventEntry entry;
-  entry.fn = std::move(fn);
-  return enqueue(t, std::move(entry));
+  const EventHandle handle = enqueue(t, EventEntry{});  // payload defaults to kClosure
+  if (handle.slot >= fns_.size()) fns_.resize(handle.slot + 1);
+  fns_[handle.slot] = std::move(fn);
+  return handle;
 }
 
 void Simulator::cancel(EventHandle handle) {
@@ -52,6 +51,7 @@ void Simulator::cancel(EventHandle handle) {
     effective = queue_->cancel(handle);
   }
   if (effective) {
+    if (handle.slot < fns_.size()) fns_[handle.slot] = nullptr;
     ++invariants_.cancels_effective;
     if (probe_ != nullptr) probe_->cancels->add();
   }
@@ -70,7 +70,7 @@ void Simulator::advance_to(const EventEntry& e) noexcept {
 
 void Simulator::pop_and_fire_timed() {
   const u64 t0 = obs::prof_now_ns();
-  EventEntry e = queue_->pop();
+  const EventEntry e = queue_->pop();
   const u64 t1 = obs::prof_now_ns();
   prof_->queue_pop.add(t1 - t0);
   advance_to(e);

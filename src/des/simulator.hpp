@@ -6,7 +6,10 @@
 // in (time, scheduling-sequence) order, whatever their representation.
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 #ifndef NDEBUG
 #include <unordered_set>
 #endif
@@ -20,6 +23,9 @@
 namespace mobichk::des {
 
 class ShardedSimulator;
+
+/// Callback executed when a closure-kind event fires (the escape hatch).
+using EventFn = std::function<void()>;
 
 /// Cheap release-mode invariant counters maintained by the Simulator.
 ///
@@ -67,7 +73,8 @@ class Simulator {
   }
 
   /// Schedules closure `fn` at absolute time `t` — the escape hatch for
-  /// tests, probes and one-off hooks; pays a per-event allocation.
+  /// tests, probes and one-off hooks; pays a per-event allocation. The
+  /// closure waits beside its queue slot until it fires or is cancelled.
   EventHandle schedule_at(Time t, EventFn fn);
 
   /// Schedules closure `fn` after a delay of `dt` (must be >= 0).
@@ -151,10 +158,12 @@ class Simulator {
   void advance_to(const EventEntry& e) noexcept;
 
   /// Dispatches one popped event: typed payloads go through their
-  /// EventTarget, closures through fn.
-  static void fire(EventEntry& e) {
+  /// EventTarget, closures through the callable parked under their slot
+  /// (taken out first: anything it schedules may reuse the slot).
+  void fire(const EventEntry& e) {
     if (e.payload.kind == EventKind::kClosure) {
-      e.fn();
+      const EventFn fn = std::exchange(fns_[e.slot], nullptr);
+      fn();
     } else {
       e.payload.target->on_event(e.payload);
     }
@@ -175,7 +184,7 @@ class Simulator {
       pop_and_fire_timed();
       return;
     }
-    EventEntry e = queue_->pop();
+    const EventEntry e = queue_->pop();
     advance_to(e);
     if (probe_ != nullptr) observe_pop(e);
     fire(e);
@@ -188,6 +197,7 @@ class Simulator {
   void pop_and_fire_timed();
 
   std::unique_ptr<EventQueue> queue_;
+  std::vector<EventFn> fns_;  ///< Parked closures, indexed by queue slot.
   const obs::KernelProbe* probe_ = nullptr;
   obs::ProfLane* prof_ = nullptr;
   ShardedSimulator* sharded_ = nullptr;

@@ -1,7 +1,6 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace mobichk::net {
@@ -16,54 +15,31 @@ const char* mss_topology_name(MssTopologyKind kind) noexcept {
   return "?";
 }
 
-MssTopology::MssTopology(MssTopologyKind kind, u32 n_mss) : kind_(kind) {
+MssTopology::MssTopology(MssTopologyKind kind, u32 n_mss) : kind_(kind), n_(n_mss) {
   if (n_mss == 0) throw std::invalid_argument("MssTopology: need at least one MSS");
-  // Adjacency lists.
-  std::vector<std::vector<MssId>> adj(n_mss);
-  const auto link = [&](MssId a, MssId b) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  };
-  switch (kind) {
-    case MssTopologyKind::kFullMesh:
-      for (MssId a = 0; a < n_mss; ++a) {
-        for (MssId b = a + 1; b < n_mss; ++b) link(a, b);
-      }
-      break;
-    case MssTopologyKind::kRing:
-      for (MssId a = 0; a + 1 < n_mss; ++a) link(a, a + 1);
-      if (n_mss > 2) link(n_mss - 1, 0);
-      break;
-    case MssTopologyKind::kLine:
-      for (MssId a = 0; a + 1 < n_mss; ++a) link(a, a + 1);
-      break;
-    case MssTopologyKind::kStar:
-      for (MssId a = 1; a < n_mss; ++a) link(0, a);
-      break;
+}
+
+u32 MssTopology::hops(MssId a, MssId b) const {
+  if (a >= n_ || b >= n_) throw std::out_of_range("MssTopology::hops: MSS id out of range");
+  if (a == b) return 0;
+  const u32 d = a > b ? a - b : b - a;
+  switch (kind_) {
+    case MssTopologyKind::kFullMesh: return 1;
+    case MssTopologyKind::kRing: return std::min(d, n_ - d);
+    case MssTopologyKind::kLine: return d;
+    case MssTopologyKind::kStar: return a == 0 || b == 0 ? 1 : 2;  // leaf to leaf via the hub
   }
-  // All-pairs BFS.
-  dist_.assign(n_mss, std::vector<u32>(n_mss, 0));
-  for (MssId src = 0; src < n_mss; ++src) {
-    std::vector<u32>& d = dist_[src];
-    std::vector<bool> seen(n_mss, false);
-    std::deque<MssId> queue{src};
-    seen[src] = true;
-    while (!queue.empty()) {
-      const MssId u = queue.front();
-      queue.pop_front();
-      for (const MssId v : adj[u]) {
-        if (!seen[v]) {
-          seen[v] = true;
-          d[v] = d[u] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
-    for (MssId v = 0; v < n_mss; ++v) {
-      if (!seen[v]) throw std::logic_error("MssTopology: disconnected graph");
-      diameter_ = std::max(diameter_, d[v]);
-    }
+  return d;
+}
+
+u32 MssTopology::diameter() const noexcept {
+  switch (kind_) {
+    case MssTopologyKind::kFullMesh: return std::min(n_ - 1, 1u);
+    case MssTopologyKind::kRing: return n_ / 2;
+    case MssTopologyKind::kLine: return n_ - 1;
+    case MssTopologyKind::kStar: return std::min(n_ - 1, 2u);
   }
+  return n_ - 1;
 }
 
 }  // namespace mobichk::net

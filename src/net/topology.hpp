@@ -2,12 +2,11 @@
 //
 // The paper prices "message transfer between adjacent MSSs" — i.e. the
 // wired network is a graph and non-adjacent MSSs pay per-hop. This
-// module provides the usual fixed topologies with precomputed all-pairs
-// hop counts; kFullMesh (every pair adjacent) reproduces the single-hop
-// model most analyses assume.
+// module provides the usual fixed topologies; each one's shortest-path
+// hop count has a closed form, so a query costs O(1) and the topology
+// holds no per-MSS state whatever the number of cells. kFullMesh (every
+// pair adjacent) reproduces the single-hop model most analyses assume.
 #pragma once
-
-#include <vector>
 
 #include "des/types.hpp"
 #include "net/ids.hpp"
@@ -28,18 +27,17 @@ class MssTopology {
   MssTopology(MssTopologyKind kind, u32 n_mss);
 
   MssTopologyKind kind() const noexcept { return kind_; }
-  u32 n_mss() const noexcept { return static_cast<u32>(dist_.size()); }
+  u32 n_mss() const noexcept { return n_; }
 
-  /// Wired hops between two MSSs (0 when a == b).
-  u32 hops(MssId a, MssId b) const { return dist_.at(a).at(b); }
+  /// Wired hops between two MSSs (0 when a == b); throws std::out_of_range past n_mss().
+  u32 hops(MssId a, MssId b) const;
 
   /// Longest shortest path in the topology.
-  u32 diameter() const noexcept { return diameter_; }
+  u32 diameter() const noexcept;
 
  private:
   MssTopologyKind kind_;
-  std::vector<std::vector<u32>> dist_;
-  u32 diameter_ = 0;
+  u32 n_;
 };
 
 }  // namespace mobichk::net

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
+
+#include "des/rng.hpp"
 
 namespace mobichk::des {
 namespace {
+
+// The queues copy entries by value; no closure rides in them.
+static_assert(std::is_trivially_copyable_v<EventEntry>);
+static_assert(sizeof(EventEntry) <= 56);
 
 class SimulatorTest : public ::testing::TestWithParam<QueueKind> {};
 
@@ -317,6 +326,91 @@ TEST_P(SimulatorTest, RunUntilHorizonPeekKeepsHandlesLive) {
   EXPECT_EQ(sim.run(), 0u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.invariants().cancels_effective, 1u);
+  EXPECT_TRUE(sim.invariants_ok());
+}
+
+TEST_P(SimulatorTest, CancelDestroysClosureCapturesAtOnce) {
+  Simulator sim(GetParam());
+  const auto token = std::make_shared<int>(0);
+  const EventHandle h = sim.schedule_at(1.0, [token] { ++*token; });
+  sim.schedule_at(2.0, [] {});
+  EXPECT_EQ(token.use_count(), 2);
+  sim.cancel(h);
+  EXPECT_EQ(token.use_count(), 1);  // released at cancel, not when the tombstone surfaces
+  sim.cancel(h);                    // a second (no-op) cancel touches nothing
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(*token, 0);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST_P(SimulatorTest, FiredClosureCapturesAreDestroyedAfterItRuns) {
+  Simulator sim(GetParam());
+  const auto token = std::make_shared<int>(0);
+  long during = 0;
+  sim.schedule_at(1.0, [token, &during] { during = token.use_count(); });
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(during, 2);  // alive while running
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST_P(SimulatorTest, ReusedSlotRunsOnlyTheNewClosure) {
+  Simulator sim(GetParam());
+  std::vector<int> order;
+  const EventHandle old_h = sim.schedule_at(1.0, [&] { order.push_back(1); });
+  sim.schedule_at(2.0, [&] { order.push_back(9); });
+  sim.cancel(old_h);
+  // Peeking past the cancelled entry releases its slot for reuse.
+  EXPECT_EQ(sim.run_until(1.5), 0u);
+  const EventHandle new_h = sim.schedule_at(3.0, [&] { order.push_back(2); });
+  ASSERT_EQ(new_h.slot, old_h.slot);
+  ASSERT_NE(new_h.gen, old_h.gen);
+  sim.cancel(old_h);  // stale: must not reach the new closure
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{9, 2}));
+  EXPECT_TRUE(sim.invariants_ok());
+}
+
+TEST_P(SimulatorTest, TypedAndClosureEventsInterleaveInTimeSeqOrder) {
+  // Random times (with ties), random representation, random cancels: the
+  // fired sequence must be the (time, seq) order of the surviving events,
+  // closures and typed payloads alike, on every queue kind.
+  Simulator sim(GetParam());
+  RecordingTarget target;
+  target.sim = &sim;
+  RngStream rng(7, "interleave");
+  struct Want {
+    Time t;
+    u32 id;
+  };
+  std::vector<Want> want;
+  std::vector<u32> fired;
+  std::vector<EventHandle> handles;
+  for (u32 id = 0; id < 2000; ++id) {
+    const Time t = static_cast<Time>(static_cast<int>(rng.uniform01() * 200.0));
+    if (rng.uniform01() < 0.5) {
+      handles.push_back(sim.schedule_at(t, [&fired, id] { fired.push_back(id); }));
+    } else {
+      handles.push_back(sim.schedule_at(t, typed(&target, EventKind::kWorkloadOp, 0, id)));
+    }
+    want.push_back(Want{t, id});
+  }
+  std::vector<bool> cancelled(want.size(), false);
+  for (u32 id = 0; id < want.size(); id += 7) {
+    sim.cancel(handles[id]);
+    cancelled[id] = true;
+  }
+  std::erase_if(want, [&](const Want& w) { return cancelled[w.id]; });
+  std::stable_sort(want.begin(), want.end(), [](const Want& a, const Want& b) { return a.t < b.t; });
+  // Closures append to `fired` directly; typed events are folded in from
+  // the target's hits after each step, keeping dispatch order.
+  usize seen_hits = 0;
+  while (sim.pending() > 0) {
+    sim.step_one();
+    for (; seen_hits < target.hits.size(); ++seen_hits) fired.push_back(target.hits[seen_hits].a);
+  }
+  ASSERT_EQ(fired.size(), want.size());
+  for (usize i = 0; i < want.size(); ++i) ASSERT_EQ(fired[i], want[i].id) << "position " << i;
   EXPECT_TRUE(sim.invariants_ok());
 }
 
