@@ -18,7 +18,8 @@
 // Flags:
 //   --point=N     run a single population instead of the sweep (CI smoke)
 //   --events=B    approximate event budget per point (default 2'000'000)
-//   --queue=NAME  binary-heap | calendar | sorted-list (default calendar)
+//   --queue=NAME  binary-heap | calendar | sorted-list (default binary-heap,
+//                 the library default)
 //   --out=PATH    also write the rows as a JSON array
 //   --shards=LIST shard-sweep mode: run the n=10^4 and n=10^5 points under
 //                 every shard count in the comma list (e.g. 1,2,4,8),
@@ -255,7 +256,7 @@ int run(int argc, char** argv) {
   sim::FlagSet flags("fig_scale [flags]");
   flags.add("point", sim::FlagType::kUInt, "0", "run only this host count (0 = full sweep)")
       .add("events", sim::FlagType::kUInt, "2000000", "approximate event budget per point")
-      .add("queue", sim::FlagType::kString, "calendar", "event queue implementation")
+      .add("queue", sim::FlagType::kString, "binary-heap", "event queue implementation")
       .add("out", sim::FlagType::kString, "", "also write rows to this JSON path")
       .add("shards", sim::FlagType::kString, "",
            "shard-sweep mode: comma list of shard counts (e.g. 1,2,4,8)");
@@ -266,7 +267,7 @@ int run(int argc, char** argv) {
   }
   const u64 point = args.get_u64("point", 0);
   const f64 budget = static_cast<f64>(args.get_u64("events", 2'000'000));
-  const des::QueueKind queue = des::queue_kind_from_name(args.get_string("queue", "calendar"));
+  const des::QueueKind queue = des::queue_kind_from_name(args.get_string("queue", "binary-heap"));
 
   const std::string shard_list = args.get_string("shards", "");
   if (!shard_list.empty()) {

@@ -1,7 +1,7 @@
 // Checkpoint records: what a protocol writes to stable storage.
 #pragma once
 
-#include <vector>
+#include <type_traits>
 
 #include "des/types.hpp"
 #include "net/ids.hpp"
@@ -25,74 +25,43 @@ constexpr const char* checkpoint_kind_name(CheckpointKind kind) noexcept {
   return "?";
 }
 
-/// One sparse dependency entry: what a TP checkpoint requires of `host`.
-/// Entries absent from a sparse record mean "no dependency" (ckpt 0, the
-/// initial checkpoint) and "location never learned" (MSS 0), matching the
-/// zero-initialised dense vectors they replace.
+/// One TP dependency entry: what a checkpoint requires of `host`. A
+/// record's entries are sorted by host; hosts absent from them mean "no
+/// dependency" (ckpt 0, the initial checkpoint) and "location never
+/// learned" (MSS 0).
 struct DepEntry {
   u32 host = 0;
   u32 ckpt = 0;  ///< Minimal checkpoint ordinal of `host` the line requires.
   u32 loc = 0;   ///< Last-known MSS of `host` (retrieval metadata).
 };
 
-/// One local checkpoint C_{i,x}.
+/// One local checkpoint C_{i,x}. Flat and trivially copyable: TP's
+/// dependency entries live in the owning CheckpointLog's per-host arena,
+/// and the record keeps only where they are. Read them through
+/// CheckpointLog::dep_ckpt_at / dep_loc_at.
 struct CheckpointRecord {
   net::HostId host = 0;
+  net::MssId location = 0;  ///< MSS whose stable storage holds it.
   u64 ordinal = 0;       ///< Per-host creation order (0-based, includes initial).
   u64 sn = 0;            ///< Protocol index: sequence number (BCS/QBC), checkpoint
                          ///< count (TP), snapshot round (coordinated), = ordinal otherwise.
-  CheckpointKind kind = CheckpointKind::kInitial;
   des::Time time = 0.0;
-  net::MssId location = 0;  ///< MSS whose stable storage holds it.
   u64 event_pos = 0;        ///< Host events with position <= event_pos precede it.
   u64 bytes = 0;            ///< Upload size (0 when no byte model is attached).
+  u32 dep_off = 0;   ///< First u32 of this record's entries in the host's dependency arena.
+  u32 dep_len = 0;   ///< Dependency entries recorded (0 for non-TP records).
+  u32 dep_rank = 0;  ///< Logical length of CKPT[]/LOC[] (n_hosts); 0 = no dependencies.
+  CheckpointKind kind = CheckpointKind::kInitial;
   bool replaced_predecessor = false;  ///< QBC equivalence rule fired (same sn as predecessor).
 
-  /// TP dense mode: transitive dependency vectors recorded with the
-  /// checkpoint (size n when present).
-  std::vector<u32> dep_ckpt;
-  std::vector<u32> dep_loc;
-  /// TP sparse mode: only the entries actually depended on, sorted by
-  /// host; `dep_rank` is the logical vector length (n_hosts). Exactly one
-  /// of the dense/sparse representations is populated per record.
-  std::vector<DepEntry> sparse_deps;
-  u32 dep_rank = 0;
-
-  /// True when the record carries TP dependency information (either
-  /// representation). Readers must go through the `dep_*_at` accessors.
-  bool has_deps() const noexcept { return !dep_ckpt.empty() || dep_rank > 0; }
+  /// True when the record carries TP dependency information.
+  bool has_deps() const noexcept { return dep_rank > 0; }
 
   /// Logical length of the dependency vectors (n_hosts at record time).
-  u32 deps_rank() const noexcept {
-    return dep_rank > 0 ? dep_rank : static_cast<u32>(dep_ckpt.size());
-  }
-
-  /// CKPT[j] / LOC[j] under either representation. Out-of-range or absent
-  /// entries read as 0, the no-dependency default.
-  u32 dep_ckpt_at(u32 j) const noexcept {
-    if (!dep_ckpt.empty()) return j < dep_ckpt.size() ? dep_ckpt[j] : 0;
-    const DepEntry* e = find_sparse(j);
-    return e != nullptr ? e->ckpt : 0;
-  }
-  u32 dep_loc_at(u32 j) const noexcept {
-    if (!dep_loc.empty()) return j < dep_loc.size() ? dep_loc[j] : 0;
-    const DepEntry* e = find_sparse(j);
-    return e != nullptr ? e->loc : 0;
-  }
-
- private:
-  const DepEntry* find_sparse(u32 j) const noexcept {
-    usize lo = 0, hi = sparse_deps.size();
-    while (lo < hi) {
-      const usize mid = (lo + hi) / 2;
-      if (sparse_deps[mid].host < j) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo < sparse_deps.size() && sparse_deps[lo].host == j ? &sparse_deps[lo] : nullptr;
-  }
+  u32 deps_rank() const noexcept { return dep_rank; }
 };
+
+static_assert(std::is_trivially_copyable_v<CheckpointRecord>,
+              "checkpoint records are copied and freed in bulk; keep them flat");
 
 }  // namespace mobichk::core

@@ -1,7 +1,20 @@
 // Per-protocol record of every checkpoint taken during a run, with the
 // queries the recovery-line builders need.
+//
+// Layout: per host, one vector of flat CheckpointRecords and, in a TP
+// log, one u32 arena holding the dependency entries of those records. A
+// record whose entries cover every host (dense TP, or a sparse one that
+// has met everybody) stores them as n (ckpt, loc) pairs indexed by host;
+// any other stores its entries as (host, ckpt, loc) triples sorted by
+// host. Both layouts read back identically through dep_ckpt_at /
+// dep_loc_at. Everything is per host because shard-parallel windows
+// append for different hosts concurrently. The arenas are created with
+// the first record that carries dependencies (TP's initial checkpoint,
+// taken before any shard window), so other protocols' logs cost one
+// empty vector per host.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -17,13 +30,31 @@ class CheckpointLog {
 
   /// Appends a record, assigning its per-host ordinal. `rec.sn` must be
   /// non-decreasing per host (all protocols in this suite guarantee it).
-  const CheckpointRecord& append(CheckpointRecord rec);
+  /// TP records pass their dependency entries (sorted by host, each host
+  /// < `rank`) and the logical vector length `rank` = n_hosts; the
+  /// entries are copied into the host's arena.
+  const CheckpointRecord& append(CheckpointRecord rec, std::span<const DepEntry> deps = {},
+                                 u32 rank = 0);
 
   u32 n_hosts() const noexcept { return static_cast<u32>(per_host_.size()); }
 
-  const std::vector<CheckpointRecord>& of(net::HostId host) const { return per_host_.at(host); }
+  const std::vector<CheckpointRecord>& of(net::HostId host) const {
+    return per_host_.at(host);
+  }
 
   u64 count(net::HostId host) const { return per_host_.at(host).size(); }
+
+  /// CKPT[j] / LOC[j] of a record in this log. Entries the record does not
+  /// carry (and records without dependencies) read as 0, the
+  /// no-dependency default.
+  u32 dep_ckpt_at(const CheckpointRecord& rec, u32 j) const noexcept {
+    const u32* e = dep_entry(rec, j);
+    return e != nullptr ? e[0] : 0;
+  }
+  u32 dep_loc_at(const CheckpointRecord& rec, u32 j) const noexcept {
+    const u32* e = dep_entry(rec, j);
+    return e != nullptr ? e[1] : 0;
+  }
 
   // -- aggregate counts -------------------------------------------------
   u64 total() const noexcept { return total_; }
@@ -63,7 +94,13 @@ class CheckpointLog {
   u64 max_sn() const;
 
  private:
+  /// Host j's (ckpt, loc) pair in `rec`'s entries, or nullptr if absent.
+  const u32* dep_entry(const CheckpointRecord& rec, u32 j) const noexcept;
+
   std::vector<std::vector<CheckpointRecord>> per_host_;
+  /// Per-host dependency arenas (see the layout above); empty until the
+  /// first record with dependencies.
+  std::vector<std::vector<u32>> deps_;
   // Relaxed atomics: shard-parallel windows append checkpoints for
   // different hosts concurrently (the per-host vectors are owner-local;
   // these aggregates are order-independent sums).

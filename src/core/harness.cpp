@@ -74,12 +74,15 @@ void ProtocolHarness::enable_sharding(u32 n_shards) {
   }
 }
 
-void ProtocolHarness::merge_window(const std::unordered_map<u64, u64>& idmap) {
-  // Sends first (the map is order-independent), translated to final ids.
+void ProtocolHarness::merge_window(const net::WindowIdMap& idmap) {
+  // Sends first (the log is indexed by id, so order does not matter),
+  // translated to final ids. Every journaled send was made inside a
+  // window and so carries a provisional id the network has just mapped;
+  // at() throws on anything else rather than let a provisional id index
+  // the log.
   for (auto& sl : slices_) {
     for (const SendRec& s : sl.sends) {
-      const auto it = idmap.find(s.id);
-      msg_log_.note_send(it != idmap.end() ? it->second : s.id, s.src, s.dst, s.pos);
+      msg_log_.note_send(idmap.at(s.id), s.src, s.dst, s.pos);
     }
     sl.sends.clear();
   }
@@ -119,11 +122,14 @@ void ProtocolHarness::on_send(net::MobileHost& host, net::AppMessage& msg) {
   // to the executing shard's slice; otherwise (sequential runs, and the
   // coordinator phase of sharded ones) they apply directly.
   des::ShardContext* c = des::current_shard();
+  // A recycled message already holds its observer slots; each slot's
+  // piggyback is reset (keeping its vectors' capacity) and re-encoded.
   msg.observer_pbs.resize(slots_.empty() ? 0 : slots_.size() - 1);
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
     net::Piggyback& pb = slot_pb(msg, k);
-    pb = slots_[k]->protocol->make_piggyback(host, msg.dst);
+    pb.reset();
+    slots_[k]->protocol->make_piggyback(host, msg.dst, pb);
     u64& bytes = c != nullptr ? slices_[c->shard].pb_bytes[k] : slots_[k]->pb_bytes;
     u64& dense = c != nullptr ? slices_[c->shard].pb_dense_bytes[k] : slots_[k]->pb_dense_bytes;
     bytes += pb.wire_bytes();

@@ -11,15 +11,18 @@
 // (AppMessage::pb, counted by NetworkStats); slots 1.. ride along in
 // AppMessage::observer_pbs, and each protocol reads back its own at
 // receive time. A duplicated delivery therefore carries its own copies.
+// The network recycles consumed messages (see net::AppMessage), so on_send
+// resets each slot's piggyback and has the protocol encode into it in
+// place: steady-state sends reuse the previous message's buffers.
 // The harness additionally accounts per-protocol piggyback bytes so
 // overhead comparisons cover every slot.
 //
 // The harness also maintains the MessageLog — the send/receive position
-// oracle used by the consistency checker and the rollback machinery.
+// oracle used by the consistency checker and the rollback machinery, a
+// flat table indexed by the (dense) message id.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/checkpoint_log.hpp"
@@ -91,7 +94,7 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// through `idmap` (provisional -> final message ids), then deliveries
   /// in merged (time, shard) order, which is the sequential order the
   /// rollback machinery depends on.
-  void merge_window(const std::unordered_map<u64, u64>& idmap);
+  void merge_window(const net::WindowIdMap& idmap);
 
   /// End-of-run fold of the per-shard piggyback byte slices.
   void finalize_sharding();

@@ -24,38 +24,16 @@ const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHos
                                                             CheckpointKind kind, u64 sn,
                                                             obs::ForcedRule rule,
                                                             net::MsgId trigger_msg) {
-  return take_checkpoint(host, kind, sn, {}, {}, false, rule, trigger_msg);
+  return take_checkpoint(host, kind, sn, {}, 0, false, rule, trigger_msg);
 }
 
 const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHost& host,
                                                             CheckpointKind kind, u64 sn,
-                                                            std::vector<DepEntry> deps, u32 rank,
+                                                            std::span<const DepEntry> deps,
+                                                            u32 rank, bool replaced,
                                                             obs::ForcedRule rule,
                                                             net::MsgId trigger_msg) {
   CheckpointRecord rec;
-  rec.sparse_deps = std::move(deps);
-  rec.dep_rank = rank;
-  return finish_checkpoint(std::move(rec), host, kind, sn, false, rule, trigger_msg);
-}
-
-const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHost& host,
-                                                            CheckpointKind kind, u64 sn,
-                                                            std::vector<u32> dep_ckpt,
-                                                            std::vector<u32> dep_loc,
-                                                            bool replaced,
-                                                            obs::ForcedRule rule,
-                                                            net::MsgId trigger_msg) {
-  CheckpointRecord rec;
-  rec.dep_ckpt = std::move(dep_ckpt);
-  rec.dep_loc = std::move(dep_loc);
-  return finish_checkpoint(std::move(rec), host, kind, sn, replaced, rule, trigger_msg);
-}
-
-const CheckpointRecord& CheckpointProtocol::finish_checkpoint(CheckpointRecord rec,
-                                                              const net::MobileHost& host,
-                                                              CheckpointKind kind, u64 sn,
-                                                              bool replaced, obs::ForcedRule rule,
-                                                              net::MsgId trigger_msg) {
   rec.host = host.id();
   rec.sn = sn;
   rec.kind = kind;
@@ -71,7 +49,7 @@ const CheckpointRecord& CheckpointProtocol::finish_checkpoint(CheckpointRecord r
         ctx_.data_plane->on_checkpoint(host.id(), host.mss(), ctx_.now(), static_cast<u8>(kind));
     if (rec.bytes == 0) rec.bytes = priced;
   }
-  const CheckpointRecord& stored = ctx_.log->append(std::move(rec));
+  const CheckpointRecord& stored = ctx_.log->append(rec, deps, rank);
   if (ctx_.sink != nullptr) {
     const auto tk = kind == CheckpointKind::kForced ? des::TraceKind::kForcedCheckpoint
                                                     : des::TraceKind::kBasicCheckpoint;

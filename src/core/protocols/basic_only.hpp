@@ -19,7 +19,7 @@ class BasicOnlyProtocol final : public CheckpointProtocol {
  public:
   const char* name() const noexcept override { return "BASIC"; }
 
-  net::Piggyback make_piggyback(const net::MobileHost&, net::HostId) override { return {}; }
+  void make_piggyback(const net::MobileHost&, net::HostId, net::Piggyback&) override {}
   void handle_receive(const net::MobileHost&, const net::AppMessage&,
                       const net::Piggyback&) override {}
   void handle_cell_switch(const net::MobileHost& host, net::MssId, net::MssId) override {

@@ -2,11 +2,9 @@
 
 namespace mobichk::core {
 
-net::Piggyback BcsProtocol::make_piggyback(const net::MobileHost& host, net::HostId) {
-  net::Piggyback pb;
+void BcsProtocol::make_piggyback(const net::MobileHost& host, net::HostId, net::Piggyback& pb) {
   pb.sn = sn_.at(host.id());
   pb.has_sn = true;
-  return pb;
 }
 
 void BcsProtocol::handle_receive(const net::MobileHost& host, const net::AppMessage& msg,

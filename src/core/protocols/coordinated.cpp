@@ -75,11 +75,10 @@ void CoordinatedProtocol::join_round(const net::MobileHost& host, u64 round, net
   take_checkpoint(host, CheckpointKind::kForced, r, obs::ForcedRule::kMarker, trigger);
 }
 
-net::Piggyback CoordinatedProtocol::make_piggyback(const net::MobileHost& host, net::HostId) {
-  net::Piggyback pb;
+void CoordinatedProtocol::make_piggyback(const net::MobileHost& host, net::HostId,
+                                         net::Piggyback& pb) {
   pb.sn = round_.at(host.id());
   pb.has_sn = true;
-  return pb;
 }
 
 void CoordinatedProtocol::handle_receive(const net::MobileHost& host, const net::AppMessage& msg,

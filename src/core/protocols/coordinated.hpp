@@ -36,7 +36,7 @@ class CoordinatedProtocol final : public CheckpointProtocol, public des::EventTa
 
   const char* name() const noexcept override { return "COORD"; }
 
-  net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId dst) override;
+  void make_piggyback(const net::MobileHost& host, net::HostId dst, net::Piggyback& pb) override;
   void handle_receive(const net::MobileHost& host, const net::AppMessage& msg,
                       const net::Piggyback& pb) override;
   void handle_cell_switch(const net::MobileHost& host, net::MssId, net::MssId) override;

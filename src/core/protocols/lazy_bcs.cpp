@@ -2,11 +2,10 @@
 
 namespace mobichk::core {
 
-net::Piggyback LazyBcsProtocol::make_piggyback(const net::MobileHost& host, net::HostId) {
-  net::Piggyback pb;
+void LazyBcsProtocol::make_piggyback(const net::MobileHost& host, net::HostId,
+                                     net::Piggyback& pb) {
   pb.sn = per_host_.at(host.id()).sn;
   pb.has_sn = true;
-  return pb;
 }
 
 void LazyBcsProtocol::handle_receive(const net::MobileHost& host, const net::AppMessage& msg,

@@ -26,7 +26,7 @@ class LazyBcsProtocol final : public CheckpointProtocol {
 
   const char* name() const noexcept override { return "LAZY-BCS"; }
 
-  net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId dst) override;
+  void make_piggyback(const net::MobileHost& host, net::HostId dst, net::Piggyback& pb) override;
   void handle_receive(const net::MobileHost& host, const net::AppMessage& msg,
                       const net::Piggyback& pb) override;
   void handle_cell_switch(const net::MobileHost& host, net::MssId, net::MssId) override;

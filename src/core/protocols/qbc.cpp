@@ -4,11 +4,9 @@
 
 namespace mobichk::core {
 
-net::Piggyback QbcProtocol::make_piggyback(const net::MobileHost& host, net::HostId) {
-  net::Piggyback pb;
+void QbcProtocol::make_piggyback(const net::MobileHost& host, net::HostId, net::Piggyback& pb) {
   pb.sn = per_host_.at(host.id()).sn;
   pb.has_sn = true;
-  return pb;
 }
 
 void QbcProtocol::handle_receive(const net::MobileHost& host, const net::AppMessage& msg,
@@ -29,7 +27,7 @@ void QbcProtocol::basic_checkpoint(const net::MobileHost& host) {
     // recovery line, so the next checkpoint starts a new index.
     hs.sn += 1;
   }
-  take_checkpoint(host, CheckpointKind::kBasic, hs.sn, {}, {}, /*replaced=*/can_replace);
+  take_checkpoint(host, CheckpointKind::kBasic, hs.sn, {}, 0, /*replaced=*/can_replace);
 }
 
 void QbcProtocol::handle_cell_switch(const net::MobileHost& host, net::MssId, net::MssId) {

@@ -23,7 +23,7 @@ class QbcProtocol final : public CheckpointProtocol {
  public:
   const char* name() const noexcept override { return "QBC"; }
 
-  net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId dst) override;
+  void make_piggyback(const net::MobileHost& host, net::HostId dst, net::Piggyback& pb) override;
   void handle_receive(const net::MobileHost& host, const net::AppMessage& msg,
                       const net::Piggyback& pb) override;
   void handle_cell_switch(const net::MobileHost& host, net::MssId from, net::MssId to) override;

@@ -20,6 +20,10 @@ T& flat_map_get(std::vector<T>& v, Key T::* key, Key k) {
 }  // namespace
 
 void TpProtocol::do_bind() {
+  // One dependency scratch per lane: lane 0 serves the sequential engine
+  // and the coordinator, lane 1+s shard s.
+  const des::ShardedSimulator* sharded = ctx_.sim->sharded();
+  dep_scratch_.assign(1 + (sharded != nullptr ? sharded->n_shards() : 0), {});
   phase_send_.assign(ctx_.n_hosts, 0);
   ckpt_count_.assign(ctx_.n_hosts, 0);
   if (encoding_ == TpEncoding::kDense) {
@@ -57,26 +61,23 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
   const obs::ForcedRule rule = kind == CheckpointKind::kForced
                                    ? obs::ForcedRule::kReceiveAfterSend
                                    : obs::ForcedRule::kNone;
+  // The calling lane's scratch (shards checkpoint different hosts
+  // concurrently); the log copies the entries out before it is reused.
+  des::ShardContext* c = des::current_shard();
+  std::vector<DepEntry>& deps = dep_scratch_.at(c != nullptr ? 1 + c->shard : 0);
+  deps.clear();
   if (encoding_ == TpEncoding::kDense) {
     const usize row = static_cast<usize>(me) * ctx_.n_hosts;
-    std::vector<u32> dep(req_.begin() + static_cast<std::ptrdiff_t>(row),
-                         req_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts));
-    dep[me] = static_cast<u32>(ckpt_count_[me]);  // anchor ordinal
     loc_[row + me] = host.mss();
-    std::vector<u32> dep_loc(loc_.begin() + static_cast<std::ptrdiff_t>(row),
-                             loc_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts));
-    take_checkpoint(host, kind, ckpt_count_[me], std::move(dep), std::move(dep_loc),
-                    /*replaced=*/false, rule, trigger);
+    for (u32 j = 0; j < ctx_.n_hosts; ++j) deps.push_back({j, req_[row + j], loc_[row + j]});
+    deps[me].ckpt = static_cast<u32>(ckpt_count_[me]);  // anchor ordinal
   } else {
     // Mirror the dense row refresh: the own location observable through
     // location_vector() reflects the MSS at the latest checkpoint.
     self_loc_[me] = host.mss();
     // Snapshot the touched entries plus the own anchor, sorted by host.
-    const std::vector<Entry>& es = entries_[me];
-    std::vector<DepEntry> deps;
-    deps.reserve(es.size() + 1);
     bool own_emitted = false;
-    for (const Entry& e : es) {
+    for (const Entry& e : entries_[me]) {
       if (!own_emitted && e.idx > me) {
         deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
         own_emitted = true;
@@ -84,8 +85,9 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
       deps.push_back({e.idx, e.ckpt, e.loc});
     }
     if (!own_emitted) deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-    take_checkpoint(host, kind, ckpt_count_[me], std::move(deps), ctx_.n_hosts, rule, trigger);
   }
+  take_checkpoint(host, kind, ckpt_count_[me], deps, ctx_.n_hosts, /*replaced=*/false, rule,
+                  trigger);
   ++ckpt_count_[me];
   // A fresh interval has no sends yet; phase returns to RECV (Russell's
   // discipline: forced checkpoints are needed only for receives that
@@ -93,9 +95,9 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
   phase_send_[me] = 0;
 }
 
-net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::HostId dst) {
+void TpProtocol::make_piggyback(const net::MobileHost& host, net::HostId dst,
+                                net::Piggyback& pb) {
   const net::HostId me = host.id();
-  net::Piggyback pb;
   if (encoding_ == TpEncoding::kDense) {
     const usize row = static_cast<usize>(me) * ctx_.n_hosts;
     pb.vec_a.assign(req_.begin() + static_cast<std::ptrdiff_t>(row),
@@ -128,7 +130,6 @@ net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::Host
     sc.last_ver = version_[me];
   }
   phase_send_[me] = 1;
-  return pb;
 }
 
 void TpProtocol::handle_receive(const net::MobileHost& host, const net::AppMessage& msg,

@@ -47,7 +47,7 @@ class TpProtocol final : public CheckpointProtocol {
   TpEncoding encoding() const noexcept { return encoding_; }
 
   void host_init(const net::MobileHost& host) override;
-  net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId dst) override;
+  void make_piggyback(const net::MobileHost& host, net::HostId dst, net::Piggyback& pb) override;
   void handle_receive(const net::MobileHost& host, const net::AppMessage& msg,
                       const net::Piggyback& pb) override;
   void handle_cell_switch(const net::MobileHost& host, net::MssId from, net::MssId to) override;
@@ -95,6 +95,9 @@ class TpProtocol final : public CheckpointProtocol {
   TpEncoding encoding_;
 
   // SoA host state shared by both encodings (index = dense host id).
+  /// Per-lane buffer a checkpoint's dependency entries are built in
+  /// (reused across checkpoints; see do_bind for the lane numbering).
+  std::vector<std::vector<DepEntry>> dep_scratch_;
   std::vector<u8> phase_send_;   ///< init: RECV (0).
   std::vector<u64> ckpt_count_;  ///< Checkpoints taken so far (= next ordinal).
 

@@ -24,7 +24,7 @@ class UncoordinatedProtocol final : public CheckpointProtocol, public des::Event
 
   const char* name() const noexcept override { return "UNCOORD"; }
 
-  net::Piggyback make_piggyback(const net::MobileHost&, net::HostId) override { return {}; }
+  void make_piggyback(const net::MobileHost&, net::HostId, net::Piggyback&) override {}
   void handle_receive(const net::MobileHost&, const net::AppMessage&,
                       const net::Piggyback&) override {}
   void handle_cell_switch(const net::MobileHost& host, net::MssId, net::MssId) override {

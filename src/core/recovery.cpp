@@ -49,7 +49,7 @@ GlobalCheckpoint tp_recovery_line(const CheckpointLog& log, const CheckpointReco
   cut.members.resize(n, nullptr);
   for (net::HostId h = 0; h < n; ++h) {
     const CheckpointRecord* member =
-        h == anchor.host ? &anchor : log.by_ordinal(h, anchor.dep_ckpt_at(h));
+        h == anchor.host ? &anchor : log.by_ordinal(h, log.dep_ckpt_at(anchor, h));
     if (member != nullptr) {
       cut.members[h] = member;
       cut.pos[h] = member->event_pos;

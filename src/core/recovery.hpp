@@ -54,10 +54,11 @@ enum class IndexLineRule : u8 {
 GlobalCheckpoint index_recovery_line(const CheckpointLog& log, u64 index, IndexLineRule rule,
                                      const std::vector<u64>& current_pos);
 
-/// Builds the recovery line TP associates on the fly with `anchor`, using
-/// the dependency vector recorded in the checkpoint: host j's member is
-/// the checkpoint with ordinal dep_ckpt[j] (virtual if not yet taken —
-/// sound under TP's phase discipline, see src/core/protocols/tp.hpp).
+/// Builds the recovery line TP associates on the fly with `anchor` (a
+/// record of `log`), using the dependency entries recorded with it: host
+/// j's member is the checkpoint with ordinal log.dep_ckpt_at(anchor, j)
+/// (virtual if not yet taken — sound under TP's phase discipline, see
+/// src/core/protocols/tp.hpp).
 GlobalCheckpoint tp_recovery_line(const CheckpointLog& log, const CheckpointRecord& anchor,
                                   const std::vector<u64>& current_pos);
 

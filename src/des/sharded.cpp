@@ -224,6 +224,7 @@ SimInvariants ShardedSimulator::invariants() const {
     sum.cancels_requested += i.cancels_requested;
     sum.cancels_effective += i.cancels_effective;
     sum.time_regressions += i.time_regressions;
+    sum.pop_order_violations += i.pop_order_violations;
     sum.max_pending = std::max(sum.max_pending, i.max_pending);
   }
   return sum;

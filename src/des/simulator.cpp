@@ -8,6 +8,10 @@ namespace mobichk::des {
 
 Simulator::Simulator(QueueKind queue_kind) : queue_(make_event_queue(queue_kind)) {}
 
+Simulator::Simulator(std::unique_ptr<EventQueue> queue) : queue_(std::move(queue)) {
+  if (queue_ == nullptr) throw std::invalid_argument("Simulator: null event queue");
+}
+
 EventHandle Simulator::enqueue(Time t, EventEntry entry) {
   if (t < now_) throw std::invalid_argument("Simulator::schedule_at: time is in the past");
   entry.time = t;
@@ -62,9 +66,12 @@ void Simulator::advance_to(const EventEntry& e) noexcept {
     ++invariants_.time_regressions;
     assert(false && "event queue returned an event in the past");
   }
-#ifndef NDEBUG
-  assert(fired_seqs_.insert(e.seq).second && "event seq popped twice");
-#endif
+  // Counted, not asserted: invariants_ok() reports it in every build.
+  if (e.time < last_pop_time_ || (e.time == last_pop_time_ && e.seq <= last_pop_seq_)) {
+    ++invariants_.pop_order_violations;
+  }
+  last_pop_time_ = e.time;
+  last_pop_seq_ = e.seq;
   now_ = e.time;
 }
 

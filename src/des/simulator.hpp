@@ -10,9 +10,6 @@
 #include <memory>
 #include <utility>
 #include <vector>
-#ifndef NDEBUG
-#include <unordered_set>
-#endif
 
 #include "des/event.hpp"
 #include "des/event_queue.hpp"
@@ -27,18 +24,22 @@ class ShardedSimulator;
 /// Callback executed when a closure-kind event fires (the escape hatch).
 using EventFn = std::function<void()>;
 
-/// Cheap release-mode invariant counters maintained by the Simulator.
+/// Cheap invariant counters maintained by the Simulator in every build.
 ///
 /// A healthy run always reconciles: every scheduled event either fired,
-/// was effectively cancelled, or is still pending — and the clock never
-/// ran backwards. Violations indicate an event-queue lifetime bug (the
-/// class of fault the determinism audit exists to catch).
+/// was effectively cancelled, or is still pending — the clock never ran
+/// backwards, and events popped in strictly increasing (time, seq) order.
+/// Violations indicate an event-queue lifetime bug (the class of fault
+/// the determinism audit exists to catch).
 struct SimInvariants {
   u64 scheduled = 0;           ///< schedule_at / schedule_after calls.
   u64 executed = 0;            ///< Events fired.
   u64 cancels_requested = 0;   ///< Simulator::cancel calls on valid handles.
   u64 cancels_effective = 0;   ///< Cancels that removed a live pending event.
   u64 time_regressions = 0;    ///< Popped event earlier than the clock (must stay 0).
+  /// Pops whose (time, seq) did not strictly exceed the previous pop's —
+  /// a repeated pop or one out of order (must stay 0).
+  u64 pop_order_violations = 0;
   usize max_pending = 0;       ///< High-water mark of the pending set.
 
   /// No-op cancels (handle already fired, double-cancelled, or unknown).
@@ -46,7 +47,7 @@ struct SimInvariants {
 
   /// Live-count reconciliation given the queue's current pending count.
   bool consistent(usize pending_now) const noexcept {
-    return time_regressions == 0 &&
+    return time_regressions == 0 && pop_order_violations == 0 &&
            scheduled == executed + cancels_effective + static_cast<u64>(pending_now);
   }
 };
@@ -55,6 +56,10 @@ struct SimInvariants {
 class Simulator {
  public:
   explicit Simulator(QueueKind queue_kind = QueueKind::kBinaryHeap);
+
+  /// Runs on a caller-supplied queue (tests inject faulty ones to check
+  /// that the invariant ledger catches them).
+  explicit Simulator(std::unique_ptr<EventQueue> queue);
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -154,7 +159,11 @@ class Simulator {
   /// Assigns the next sequence number and pushes the finished entry.
   EventHandle enqueue(Time t, EventEntry entry);
 
-  /// Advances the clock to a popped event's time, with invariant checks.
+  /// Advances the clock to a popped event's time, with invariant checks:
+  /// the pop must not precede the clock, and its (time, seq) must
+  /// strictly exceed the previous pop's. Every queue kind pops in that
+  /// order (a later-scheduled event has time >= now and a larger seq), so
+  /// a double pop is caught in O(1) from the last key alone.
   void advance_to(const EventEntry& e) noexcept;
 
   /// Dispatches one popped event: typed payloads go through their
@@ -206,9 +215,8 @@ class Simulator {
   u64 executed_ = 0;
   bool stop_requested_ = false;
   SimInvariants invariants_;
-#ifndef NDEBUG
-  std::unordered_set<u64> fired_seqs_;  ///< Double-pop detection (debug builds).
-#endif
+  Time last_pop_time_ = 0.0;  ///< Key of the previous pop (seq 0 = none yet).
+  u64 last_pop_seq_ = 0;
 };
 
 }  // namespace mobichk::des

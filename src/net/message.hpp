@@ -53,6 +53,21 @@ struct Piggyback {
   bool has_tag = false;     ///< Whether `tag` is carried (affects wire size).
   bool has_delta = false;   ///< Whether the sparse delta encoding is in use.
 
+  /// Clears every field for re-encoding; the vectors keep their capacity,
+  /// so a recycled message's piggyback is filled without allocating.
+  void reset() noexcept {
+    sn = 0;
+    vec_a.clear();
+    vec_b.clear();
+    deltas.clear();
+    delta_seq = 0;
+    dense_rank = 0;
+    tag = 0;
+    has_sn = false;
+    has_tag = false;
+    has_delta = false;
+  }
+
   /// Encoded cost of the delta list alone: seq + count + gap-coded indices
   /// + varint values. A real encoder keeps a one-bit escape to fall back
   /// to the dense layout when deltas would be larger (first contact, or
@@ -95,6 +110,16 @@ struct Piggyback {
 };
 
 /// An application message in flight or in a mailbox.
+///
+/// Life cycle: Network::send_app_message takes a spare message from its
+/// pool (or a fresh one when the spare list is empty) and stamps its
+/// header; the handler encodes every protocol slot's piggyback into it
+/// (ProtocolHarness resets each slot's first); the message then moves by
+/// value through its legs (parked in the pool between them) into the
+/// destination's mailbox; once consumed it goes back to the spare list of
+/// the consuming context's pool, piggyback vectors and observer slots
+/// included. Steady-state sends therefore reuse buffers instead of
+/// allocating them. A duplicate delivery is a full copy of the message.
 struct AppMessage {
   u64 id = 0;               ///< Globally unique message id.
   HostId src = 0;

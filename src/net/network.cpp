@@ -84,6 +84,18 @@ AppMessage Network::unpark(u32 idx) {
   return msg;
 }
 
+AppMessage Network::take_spare(Pool& pool) {
+  if (pool.spare.empty()) return {};
+  AppMessage msg = std::move(pool.spare.back());
+  pool.spare.pop_back();
+  return msg;
+}
+
+void Network::recycle(AppMessage&& msg) {
+  Pool& pool = cur_pool();
+  if (pool.spare.size() < kMaxSpares) pool.spare.push_back(std::move(msg));
+}
+
 des::EventPayload Network::hop_payload(u8 sub, MssId at, u32 park_idx, bool flag) noexcept {
   des::EventPayload p;
   p.target = this;
@@ -186,7 +198,7 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   assert(s.connected() && "disconnected hosts cannot send");
   assert(dst < cfg_.n_hosts && dst != src);
 
-  AppMessage msg;
+  AppMessage msg = take_spare(cur_pool());
   des::ShardContext* shard = des::current_shard();
   if (shard != nullptr) {
     // Window-time send: the global id is assigned at the next barrier in
@@ -194,7 +206,7 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
     // have executed these sends in — and patched everywhere it was
     // recorded. Until then the message carries a provisional id.
     ShardSlice& sl = slices_[shard->shard];
-    msg.id = kProvisionalBit | (static_cast<u64>(shard->shard) << 40) | sl.next_provisional++;
+    msg.id = WindowIdMap::provisional(shard->shard, sl.next_provisional++);
   } else {
     msg.id = next_msg_id_++;
   }
@@ -202,6 +214,7 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   msg.dst = dst;
   msg.payload_bytes = payload_bytes;
   msg.sent_at = cur_now();
+  msg.send_pos = 0;
   // The handler runs while event_pos() still names the last event *before*
   // this send, so a protocol that checkpoints on send produces a cut that
   // excludes the send. The send event then takes the next position.
@@ -306,7 +319,8 @@ void Network::deliver_to_host(MssId from_mss, AppMessage msg, bool is_duplicate)
     ++stats_.duplicates_generated;
     ++stats_.wireless_messages;
     if (probe_ != nullptr) probe_->downlink_legs->add();
-    AppMessage copy = msg;
+    AppMessage copy = take_spare(pool_);
+    copy = msg;  // a full copy, into a spare's buffers
     const f64 redelivery = wireless_delay(from_mss, copy.wire_bytes());
     sim_.schedule_after(redelivery, hop_payload(kSubDeliver, from_mss, park(pool_, std::move(copy)),
                                                 /*is_duplicate=*/true));
@@ -314,6 +328,7 @@ void Network::deliver_to_host(MssId from_mss, AppMessage msg, bool is_duplicate)
   if (cfg_.duplicate_prob > 0.0 && cfg_.transport_dedup) {
     if (!arena_.seen_ids[msg.dst].insert(msg.id).second) {
       ++stats_.duplicates_suppressed;
+      recycle(std::move(msg));
       return;
     }
   }
@@ -345,6 +360,7 @@ bool Network::consume_one(HostId host_id) {
   observe_message(obs::ProbeKind::kDeliver, msg, host_id, msg.src);
   trace(des::TraceKind::kReceive, host_id, msg.id, msg.src);
   ++st().app_received;
+  recycle(std::move(msg));
   return true;
 }
 
@@ -467,9 +483,27 @@ void Network::enable_sharding(des::ShardedSimulator* sharded, des::ShardTraceMux
   for (auto& sl : slices_) sl.egress.resize(n_shards);
 }
 
-const std::unordered_map<u64, u64>& Network::merge_window() {
-  window_idmap_.clear();
+u64 WindowIdMap::at(u64 provisional_id) const {
+  const u64 shard = (provisional_id & ~kProvisionalBit) >> kShardShift;
+  if ((provisional_id & kProvisionalBit) != 0 && shard < shards_.size()) {
+    const Shard& s = shards_[shard];
+    const u64 counter = provisional_id & kCounterMask;
+    if (counter >= s.first && counter - s.first < s.final_ids.size()) {
+      return s.final_ids[counter - s.first];
+    }
+  }
+  throw std::out_of_range("WindowIdMap: not a provisional id of this window");
+}
+
+const WindowIdMap& Network::merge_window() {
   const u32 n = static_cast<u32>(slices_.size());
+  window_ids_.shards_.resize(n);
+  for (u32 s = 0; s < n; ++s) {
+    WindowIdMap::Shard& ws = window_ids_.shards_[s];
+    ws.final_ids.clear();
+    const auto& sends = slices_[s].sends;
+    ws.first = sends.empty() ? 0 : sends.front().provisional & WindowIdMap::kCounterMask;
+  }
   // 1. Final message ids, assigned in merged (time, shard) order — the
   //    order the sequential engine executed these sends in (cross-shard
   //    equal-time ties have measure zero; the shard index breaks them
@@ -485,7 +519,9 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
     if (best == n) break;
     const SendReg& reg = slices_[best].sends[head[best]++];
     const u64 final_id = next_msg_id_++;
-    window_idmap_.emplace(reg.provisional, final_id);
+    // A shard's sends merge in its own send order, so this is index
+    // counter - first of its vector.
+    window_ids_.shards_[best].final_ids.push_back(final_id);
     mux_->patch_a(best, reg.trace_idx, final_id);
   }
   for (auto& sl : slices_) sl.sends.clear();
@@ -493,7 +529,7 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
   for (auto& sl : slices_) {
     for (const u32 idx : sl.provisional_parked) {
       AppMessage& m = sl.pool.parked[idx];
-      m.id = window_idmap_.at(m.id);
+      m.id = window_ids_.at(m.id);
     }
     sl.provisional_parked.clear();
   }
@@ -512,7 +548,9 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
       }
       if (best == n) break;
       EgressLeg& leg = slices_[best].egress[dst][head[best]++];
-      if ((leg.msg.id & kProvisionalBit) != 0) leg.msg.id = window_idmap_.at(leg.msg.id);
+      if ((leg.msg.id & WindowIdMap::kProvisionalBit) != 0) {
+        leg.msg.id = window_ids_.at(leg.msg.id);
+      }
       const u32 idx = park(slices_[dst].pool, std::move(leg.msg));
       sharded_->shard_sim(dst).schedule_at(leg.t, hop_payload(leg.sub, leg.at, idx, leg.flag));
     }
@@ -526,7 +564,7 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
   }
   // 5. Publish this window's trace records downstream, time-merged.
   mux_->flush();
-  return window_idmap_;
+  return window_ids_;
 }
 
 void Network::finalize_sharding() {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -90,6 +89,35 @@ struct NetworkStats {
   des::Tally delivery_latency; ///< Send-to-mailbox latency of app messages.
 };
 
+/// Provisional -> final message ids of one shard window. A shard stamps
+/// its window sends with consecutive provisional ids, so the map is one
+/// flat vector per shard: no hashing and no node per message.
+class WindowIdMap {
+ public:
+  /// High bit of every provisional (not yet merged) message id.
+  static constexpr u64 kProvisionalBit = u64{1} << 63;
+
+  /// The `counter`-th provisional id stamped by `shard`.
+  static constexpr u64 provisional(u32 shard, u64 counter) noexcept {
+    return kProvisionalBit | (static_cast<u64>(shard) << kShardShift) | counter;
+  }
+
+  /// Final id of a provisional id sent in this window; throws
+  /// std::out_of_range for any other id (a final one included).
+  u64 at(u64 provisional_id) const;
+
+ private:
+  friend class Network;
+  static constexpr u32 kShardShift = 40;
+  static constexpr u64 kCounterMask = (u64{1} << kShardShift) - 1;
+
+  struct Shard {
+    u64 first = 0;               ///< Counter of the shard's first send this window.
+    std::vector<u64> final_ids;  ///< Indexed by counter - first.
+  };
+  std::vector<Shard> shards_;
+};
+
 /// The network substrate. Owns hosts, MSSs, the location directory, and
 /// the channel model; mechanisms only (policy lives in src/sim/).
 ///
@@ -97,7 +125,10 @@ struct NetworkStats {
 /// are scheduled as typed kMessageHop events dispatched back into this
 /// object: the in-flight AppMessage is parked in a pooled slot and the
 /// event payload carries only the pool index, the MSS the leg ends at,
-/// and a flag bit — no per-event allocation.
+/// and a flag bit — no per-event allocation. A consumed message returns
+/// to the pool as a spare, and the next send is built in it (see
+/// AppMessage for the whole life cycle), so messages are not allocated
+/// per send either.
 class Network final : public des::EventTarget {
  public:
   /// `seed` feeds the channel randomness (duplication). `sink` may be
@@ -144,7 +175,7 @@ class Network final : public des::EventTarget {
   /// cross-shard egress legs into their owner queues, and flushes the
   /// trace mux. Returns the provisional -> final id map for this window
   /// (the harness merges its journals through it).
-  const std::unordered_map<u64, u64>& merge_window();
+  const WindowIdMap& merge_window();
 
   /// End-of-run fold: sums per-shard counter slices into stats() and
   /// replays the delivery-latency journals into the Tally in global
@@ -247,13 +278,22 @@ class Network final : public des::EventTarget {
     kSubDeliver = 2,  ///< MSS -> MH wireless leg arrived (flags bit0 = is_duplicate).
   };
 
-  /// Recycled storage for in-flight messages: one global pool in the
-  /// sequential engine, one per shard in sharded mode (a leg is parked
-  /// and unparked by the same shard — the owner of its destination).
+  /// Recycled storage for messages: one global pool in the sequential
+  /// engine, one per shard in sharded mode (a leg is parked and unparked
+  /// by the same shard — the owner of its destination — and each shard
+  /// recycles and reuses spares on its own, so no lock is needed).
   struct Pool {
-    std::vector<AppMessage> parked;
-    std::vector<u32> free;
+    std::vector<AppMessage> parked;  ///< In-flight messages between legs.
+    std::vector<u32> free;           ///< Vacant `parked` slots.
+    /// Consumed messages kept for their buffers (piggyback vectors and
+    /// observer slots); the next send starts from one of them.
+    std::vector<AppMessage> spare;
   };
+
+  /// Spares one pool keeps at most. Sequential runs stay far below it
+  /// (spares never outnumber the messages once alive together); it only
+  /// bounds a shard that consumes more messages than it sends.
+  static constexpr usize kMaxSpares = 4096;
 
   /// A send registered during a shard window, awaiting its final message
   /// id at the barrier.
@@ -286,8 +326,6 @@ class Network final : public des::EventTarget {
     u64 next_provisional = 0;
   };
 
-  /// High bit marks a provisional (not yet merged) message id.
-  static constexpr u64 kProvisionalBit = u64{1} << 63;
 
   /// The pool serving the calling context (TLS shard slice or global).
   Pool& cur_pool();
@@ -295,6 +333,13 @@ class Network final : public des::EventTarget {
   u32 park(Pool& pool, AppMessage msg);
   /// Reclaims a parked message, freeing its slot for reuse.
   AppMessage unpark(u32 idx);
+  /// A message to fill: one of `pool`'s spares if it has any, else a
+  /// fresh one. Its header is stale; its piggybacks are whatever its last
+  /// handler encoded (the handler resets them before encoding).
+  static AppMessage take_spare(Pool& pool);
+  /// Returns a message the application is done with to the calling
+  /// context's pool.
+  void recycle(AppMessage&& msg);
   /// Builds the kMessageHop payload for one message leg.
   des::EventPayload hop_payload(u8 sub, MssId at, u32 park_idx, bool flag) noexcept;
 
@@ -396,7 +441,7 @@ class Network final : public des::EventTarget {
   des::ShardTraceMux* mux_ = nullptr;
   std::vector<u32> owner_shard_;           ///< host -> owner shard.
   std::vector<ShardSlice> slices_;
-  std::unordered_map<u64, u64> window_idmap_;  ///< provisional -> final, per window.
+  WindowIdMap window_ids_;  ///< provisional -> final, rebuilt every window.
 };
 
 }  // namespace mobichk::net

@@ -176,6 +176,110 @@ TEST(HarnessDuplicates, DuplicateExposingExperimentMatchesPinnedRun) {
   EXPECT_EQ(r.by_name("QBC").n_tot, 565u);
 }
 
+/// Encodes a different set of piggyback fields on alternate sends (odd
+/// counters carry a tag, a vector and a delta; even ones only the sn) and
+/// checks at receive time that each piggyback holds exactly what was
+/// encoded for it — a field left over from a recycled message's previous
+/// encoding would show up on an even one.
+class AlternatingProtocol final : public CheckpointProtocol {
+ public:
+  const char* name() const noexcept override { return "ALT"; }
+
+  void make_piggyback(const net::MobileHost&, net::HostId, net::Piggyback& pb) override {
+    const u64 k = ++counter_;
+    pb.sn = k;
+    pb.has_sn = true;
+    if (k % 2 == 1) {
+      pb.tag = static_cast<u32>(k);
+      pb.has_tag = true;
+      pb.vec_a.assign(4, static_cast<u32>(k));
+      pb.deltas.push_back({1, static_cast<u32>(k), 0});
+      pb.has_delta = true;
+    }
+  }
+
+  void handle_receive(const net::MobileHost&, const net::AppMessage&,
+                      const net::Piggyback& pb) override {
+    const bool odd = pb.sn % 2 == 1;
+    const bool exact = pb.has_sn && pb.has_tag == odd && pb.has_delta == odd &&
+                       pb.tag == (odd ? pb.sn : 0) && pb.vec_b.empty() &&
+                       pb.vec_a.size() == (odd ? 4u : 0u) && pb.deltas.size() == (odd ? 1u : 0u);
+    if (!exact) ++stale_;
+    // Reused buffers: an even piggyback that still has room for the odd
+    // one's vector came from a recycled message.
+    if (!odd && pb.vec_a.capacity() > 0) ++recycled_;
+    ++received_;
+  }
+
+  void handle_cell_switch(const net::MobileHost&, net::MssId, net::MssId) override {}
+  void handle_disconnect(const net::MobileHost&) override {}
+
+  u64 stale() const noexcept { return stale_; }
+  u64 recycled() const noexcept { return recycled_; }
+  u64 received() const noexcept { return received_; }
+
+ private:
+  u64 counter_ = 0;
+  u64 stale_ = 0;
+  u64 recycled_ = 0;
+  u64 received_ = 0;
+};
+
+TEST_F(HarnessTest, RecycledMessageCarriesNoStalePiggybackField) {
+  // In slot 0 (the wire piggyback) and slot 1 (an observer slot).
+  const usize wire = harness_.add_protocol(std::make_unique<AlternatingProtocol>());
+  const usize observer = harness_.add_protocol(std::make_unique<AlternatingProtocol>());
+  net_.start({0, 0, 1});
+  for (int i = 0; i < 20; ++i) {
+    net_.send_app_message(static_cast<net::HostId>(i % 2), 2, 8);
+    sim_.run();
+    ASSERT_TRUE(net_.consume_one(2));
+  }
+  for (const usize slot : {wire, observer}) {
+    const auto& p = static_cast<const AlternatingProtocol&>(harness_.protocol(slot));
+    EXPECT_EQ(p.received(), 20u) << "slot " << slot;
+    EXPECT_EQ(p.stale(), 0u) << "slot " << slot;
+    EXPECT_GT(p.recycled(), 0u) << "slot " << slot << ": messages were not recycled";
+  }
+}
+
+TEST(HarnessRecycling, SlotOrderDoesNotChangeAnyProtocol) {
+  // TP's dense vectors ride the wire piggyback when TP is slot 0 and an
+  // observer slot when BCS is; either way the next send re-encodes them
+  // into a recycled message. Every protocol must count the same
+  // checkpoints and piggyback bytes in both orders. The trace differs
+  // between the orders only because checkpoints taken in one event are
+  // traced in slot order; each order's hash is pinned to the value
+  // messages allocated per send produced.
+  sim::SimConfig cfg;
+  cfg.sim_length = 20'000.0;
+  cfg.t_switch = 1'000.0;
+  cfg.p_switch = 0.8;
+  cfg.heterogeneity = 0.0;
+  cfg.seed = 42;
+  sim::ExperimentOptions opts;
+  opts.collect_trace_hash = true;
+  opts.params.tp_encoding = TpEncoding::kDense;
+  opts.protocols = {ProtocolKind::kTp, ProtocolKind::kBcs, ProtocolKind::kQbc};
+  const sim::RunResult tp_first = sim::run_experiment(cfg, opts);
+  opts.protocols = {ProtocolKind::kBcs, ProtocolKind::kTp, ProtocolKind::kQbc};
+  const sim::RunResult bcs_first = sim::run_experiment(cfg, opts);
+  EXPECT_TRUE(tp_first.invariants_ok);
+  EXPECT_TRUE(bcs_first.invariants_ok);
+  EXPECT_EQ(tp_first.trace_hash, 0x9148572aa58e27b8ull);
+  EXPECT_EQ(bcs_first.trace_hash, 0x5095850e80d31988ull);
+  for (const char* name : {"TP", "BCS", "QBC"}) {
+    const sim::ProtocolRunStats& a = tp_first.by_name(name);
+    const sim::ProtocolRunStats& b = bcs_first.by_name(name);
+    EXPECT_EQ(a.n_tot, b.n_tot) << name;
+    EXPECT_EQ(a.forced, b.forced) << name;
+    EXPECT_EQ(a.piggyback_bytes, b.piggyback_bytes) << name;
+  }
+  EXPECT_EQ(tp_first.by_name("TP").n_tot, 1'788u);
+  EXPECT_EQ(tp_first.by_name("BCS").n_tot, 522u);
+  EXPECT_EQ(tp_first.by_name("QBC").n_tot, 472u);
+}
+
 TEST(HarnessFactory, AllProtocolsInstantiateAndRun) {
   for (const auto kind : all_protocol_kinds()) {
     des::Simulator sim;

@@ -15,6 +15,14 @@
 namespace mobichk::core {
 namespace {
 
+/// Encodes `p`'s piggyback for a message `host` sends to `dst` into a
+/// fresh buffer (the harness encodes into a recycled, reset one).
+net::Piggyback encode(CheckpointProtocol& p, const net::MobileHost& host, net::HostId dst) {
+  net::Piggyback pb;
+  p.make_piggyback(host, dst, pb);
+  return pb;
+}
+
 /// Three hosts on three MSSs, one protocol under test.
 class ProtocolFixture : public ::testing::Test {
  protected:
@@ -130,14 +138,14 @@ TEST_F(TpTest, CheckpointRecordsCarryDependencyVectors) {
   const CheckpointRecord& rec = log().of(1).back();
   ASSERT_TRUE(rec.has_deps());
   ASSERT_EQ(rec.deps_rank(), 3u);
-  EXPECT_EQ(rec.dep_ckpt_at(0), 1u);  // requires 0's checkpoint ordinal 1
-  EXPECT_EQ(rec.dep_ckpt_at(1), 1u);  // its own ordinal
-  EXPECT_EQ(rec.dep_ckpt_at(2), 0u);  // no dependency on host 2
+  EXPECT_EQ(log().dep_ckpt_at(rec, 0), 1u);  // requires 0's checkpoint ordinal 1
+  EXPECT_EQ(log().dep_ckpt_at(rec, 1), 1u);  // its own ordinal
+  EXPECT_EQ(log().dep_ckpt_at(rec, 2), 0u);  // no dependency on host 2
 }
 
 TEST_F(TpTest, DensePiggybackCarriesTwoVectors) {
   TpProtocol& tp = install<TpProtocol>(TpEncoding::kDense);
-  const net::Piggyback pb = tp.make_piggyback(net_.host(0), 1);
+  const net::Piggyback pb = encode(tp, net_.host(0), 1);
   EXPECT_EQ(pb.vec_a.size(), 3u);
   EXPECT_EQ(pb.vec_b.size(), 3u);
   EXPECT_EQ(pb.wire_bytes(), 6 * sizeof(u32));
@@ -147,7 +155,7 @@ TEST_F(TpTest, DensePiggybackCarriesTwoVectors) {
 TEST_F(TpTest, SparsePiggybackCarriesDeltas) {
   TpProtocol& tp = install<TpProtocol>();
   ASSERT_EQ(tp.encoding(), TpEncoding::kSparse);
-  const net::Piggyback pb = tp.make_piggyback(net_.host(0), 1);
+  const net::Piggyback pb = encode(tp, net_.host(0), 1);
   EXPECT_TRUE(pb.has_delta);
   EXPECT_TRUE(pb.vec_a.empty());
   // Nothing learned yet: only the sender's own entry travels.
@@ -162,17 +170,17 @@ TEST_F(TpTest, SparseDeltaShipsOnlyChangesPerDestination) {
   TpProtocol& tp = install<TpProtocol>();
   transfer(0, 1);  // 1 learns about 0
   // First message 1 -> 2 carries 1's own entry plus the learned entry.
-  net::Piggyback first = tp.make_piggyback(net_.host(1), 2);
+  net::Piggyback first = encode(tp, net_.host(1), 2);
   ASSERT_EQ(first.deltas.size(), 2u);
   EXPECT_EQ(first.delta_seq, 0u);
   // Nothing changed since: the next message to the same destination
   // carries only the (always-fresh) own entry, and the sequence advances.
-  net::Piggyback second = tp.make_piggyback(net_.host(1), 2);
+  net::Piggyback second = encode(tp, net_.host(1), 2);
   ASSERT_EQ(second.deltas.size(), 1u);
   EXPECT_EQ(second.deltas[0].idx, 1u);
   EXPECT_EQ(second.delta_seq, 1u);
   // A different destination has seen nothing and gets the full set.
-  net::Piggyback other = tp.make_piggyback(net_.host(1), 0);
+  net::Piggyback other = encode(tp, net_.host(1), 0);
   EXPECT_EQ(other.deltas.size(), 2u);
 }
 
@@ -233,7 +241,7 @@ TEST_F(BcsTest, StaleMessageDoesNotForce) {
 
 TEST_F(BcsTest, PiggybackIsOneInteger) {
   BcsProtocol& bcs = install<BcsProtocol>();
-  const net::Piggyback pb = bcs.make_piggyback(net_.host(0), 1);
+  const net::Piggyback pb = encode(bcs, net_.host(0), 1);
   EXPECT_TRUE(pb.has_sn);
   EXPECT_EQ(pb.wire_bytes(), sizeof(u64));
 }
@@ -343,7 +351,7 @@ TEST_F(BasicOnlyTest, OnlyMandatoryCheckpoints) {
 
 TEST_F(BasicOnlyTest, NoPiggyback) {
   BasicOnlyProtocol& p = install<BasicOnlyProtocol>();
-  EXPECT_EQ(p.make_piggyback(net_.host(0), 1).wire_bytes(), 0u);
+  EXPECT_EQ(encode(p, net_.host(0), 1).wire_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -84,9 +84,9 @@ TEST(TpRecoveryLine, FollowsDependencyVectors) {
   log.append(make(1, 0, 0, CheckpointKind::kInitial));
   log.append(make(2, 0, 0, CheckpointKind::kInitial));
   log.append(make(1, 1, 14));
-  CheckpointRecord anchor = make(0, 1, 10);
-  anchor.dep_ckpt = {1, 1, 0};  // needs own #1, host1's #1, host2's #0
-  const CheckpointRecord& stored = log.append(std::move(anchor));
+  // Needs its own #1, host 1's #1 and host 2's #0 (an absent entry).
+  const DepEntry deps[] = {{0, 1, 0}, {1, 1, 0}};
+  const CheckpointRecord& stored = log.append(make(0, 1, 10), deps, 3);
   const auto cut = tp_recovery_line(log, stored, {20, 20, 20});
   EXPECT_EQ(cut.pos[0], 10u);
   EXPECT_EQ(cut.pos[1], 14u);
@@ -97,9 +97,8 @@ TEST(TpRecoveryLine, MissingRequiredCheckpointIsVirtual) {
   CheckpointLog log(2);
   log.append(make(0, 0, 0, CheckpointKind::kInitial));
   log.append(make(1, 0, 0, CheckpointKind::kInitial));
-  CheckpointRecord anchor = make(0, 1, 10);
-  anchor.dep_ckpt = {1, 1};  // host1's #1 does not exist yet
-  const CheckpointRecord& stored = log.append(std::move(anchor));
+  const DepEntry deps[] = {{0, 1, 0}, {1, 1, 0}};  // host 1's #1 does not exist yet
+  const CheckpointRecord& stored = log.append(make(0, 1, 10), deps, 2);
   const auto cut = tp_recovery_line(log, stored, {10, 33});
   EXPECT_EQ(cut.members[1], nullptr);
   EXPECT_EQ(cut.pos[1], 33u);

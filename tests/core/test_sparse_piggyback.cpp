@@ -25,6 +25,14 @@
 namespace mobichk::core {
 namespace {
 
+/// Encodes `p`'s piggyback for a message `host` sends to `dst` into a
+/// fresh buffer (the harness encodes into a recycled, reset one).
+net::Piggyback encode(CheckpointProtocol& p, const net::MobileHost& host, net::HostId dst) {
+  net::Piggyback pb;
+  p.make_piggyback(host, dst, pb);
+  return pb;
+}
+
 /// Five hosts over three MSSs; slot 0 = dense oracle, slot 1 = sparse.
 class SparseDiffFixture : public ::testing::Test {
  protected:
@@ -67,8 +75,8 @@ class SparseDiffFixture : public ::testing::Test {
       if (!net_.host(src).connected()) continue;
       for (net::HostId dst = 0; dst < kHosts; ++dst) {
         if (dst == src) continue;
-        net::Piggyback dense_pb = dense().make_piggyback(net_.host(src), dst);
-        net::Piggyback sparse_pb = sparse().make_piggyback(net_.host(src), dst);
+        net::Piggyback dense_pb = encode(dense(), net_.host(src), dst);
+        net::Piggyback sparse_pb = encode(sparse(), net_.host(src), dst);
         EXPECT_LE(sparse_pb.wire_bytes(), dense_pb.wire_bytes())
             << "pair " << src << "->" << dst;
         EXPECT_EQ(sparse_pb.dense_bytes(), dense_pb.dense_bytes());
@@ -121,7 +129,7 @@ TEST_F(SparseDiffFixture, RepeatedPairReusesDeltas) {
   // Same pair over and over: after the first exchange the sparse deltas
   // carry only the sender's own movement, and the views keep agreeing.
   for (int i = 0; i < 6; ++i) transfer(0, 1);
-  net::Piggyback pb = sparse().make_piggyback(net_.host(0), 1);
+  net::Piggyback pb = encode(sparse(), net_.host(0), 1);
   EXPECT_EQ(pb.deltas.size(), 1u);  // own entry only: nothing else changed
   expect_encoded_bounded();
 }
@@ -185,19 +193,26 @@ TEST_F(SparseDiffFixture, CrashRestoreInterleavingAgrees) {
 }
 
 TEST_F(SparseDiffFixture, CheckpointRecordsCarryEqualDependencies) {
-  // The sparse instance stores deps as a sorted sparse vector, the dense
-  // one as full arrays; the accessor views must be indistinguishable.
+  // The sparse instance records only the entries it learned (stored as
+  // sorted triples), the dense one all n (stored as pairs); read through
+  // the log, the two must be indistinguishable.
   transfer(0, 1);
   transfer(1, 2);
   net_.switch_cell(2, 0);  // basic checkpoint snapshots the deps
-  const CheckpointRecord& dense_rec = harness_.log(dense_slot_).of(2).back();
-  const CheckpointRecord& sparse_rec = harness_.log(sparse_slot_).of(2).back();
+  const CheckpointLog& dense_log = harness_.log(dense_slot_);
+  const CheckpointLog& sparse_log = harness_.log(sparse_slot_);
+  const CheckpointRecord& dense_rec = dense_log.of(2).back();
+  const CheckpointRecord& sparse_rec = sparse_log.of(2).back();
   ASSERT_TRUE(dense_rec.has_deps());
   ASSERT_TRUE(sparse_rec.has_deps());
   ASSERT_EQ(sparse_rec.deps_rank(), dense_rec.deps_rank());
+  EXPECT_EQ(dense_rec.dep_len, kHosts);
+  EXPECT_LT(sparse_rec.dep_len, kHosts);
   for (u32 j = 0; j < dense_rec.deps_rank(); ++j) {
-    EXPECT_EQ(sparse_rec.dep_ckpt_at(j), dense_rec.dep_ckpt_at(j)) << "dep " << j;
-    EXPECT_EQ(sparse_rec.dep_loc_at(j), dense_rec.dep_loc_at(j)) << "loc " << j;
+    EXPECT_EQ(sparse_log.dep_ckpt_at(sparse_rec, j), dense_log.dep_ckpt_at(dense_rec, j))
+        << "dep " << j;
+    EXPECT_EQ(sparse_log.dep_loc_at(sparse_rec, j), dense_log.dep_loc_at(dense_rec, j))
+        << "loc " << j;
   }
 }
 

@@ -255,6 +255,74 @@ EventPayload typed(EventTarget* target, EventKind kind, u8 sub = 0, u32 a = 0, u
   return p;
 }
 
+/// A binary heap that hands back its previous minimum once more on the
+/// `repeat_at`-th pop: the double-pop fault the invariant ledger guards
+/// against.
+class RepeatingQueue final : public EventQueue {
+ public:
+  explicit RepeatingQueue(u64 repeat_at) : repeat_at_(repeat_at) {}
+
+  EventHandle push(EventEntry entry) override { return inner_->push(entry); }
+  EventEntry pop() override {
+    if (++pops_ == repeat_at_) return last_;
+    last_ = inner_->pop();
+    return last_;
+  }
+  Time peek_time() override { return pops_ + 1 == repeat_at_ ? last_.time : inner_->peek_time(); }
+  Time peek_time_below(Time bound) override { return inner_->peek_time_below(bound); }
+  bool cancel(EventHandle handle) override { return inner_->cancel(handle); }
+  bool empty() const override { return pops_ + 1 != repeat_at_ && inner_->empty(); }
+  usize size() const override { return inner_->size(); }
+  usize stored() const override { return inner_->stored(); }
+  const char* name() const noexcept override { return "repeating"; }
+
+ private:
+  std::unique_ptr<EventQueue> inner_ = make_event_queue(QueueKind::kBinaryHeap);
+  u64 repeat_at_;
+  u64 pops_ = 0;
+  EventEntry last_{};
+};
+
+TEST(SimulatorInvariants, RepeatedPopIsCaughtInEveryBuild) {
+  // The third pop repeats the second event. Its (time, seq) does not
+  // exceed the previous pop's, so the O(1) order check counts it and the
+  // ledger stops reconciling — with assertions compiled in or not.
+  Simulator sim(std::make_unique<RepeatingQueue>(3));
+  RecordingTarget target;
+  target.sim = &sim;
+  for (u32 i = 0; i < 4; ++i) {
+    sim.schedule_at(1.0 + i, typed(&target, EventKind::kWorkloadOp, 0, i));
+  }
+  sim.run();
+  ASSERT_EQ(target.hits.size(), 5u);
+  EXPECT_EQ(target.hits[1].a, target.hits[2].a);  // the repeated event fired twice
+  EXPECT_EQ(sim.invariants().pop_order_violations, 1u);
+  EXPECT_EQ(sim.invariants().time_regressions, 0u);
+  EXPECT_FALSE(sim.invariants_ok());
+}
+
+TEST(SimulatorInvariants, PopOrderHoldsAcrossEqualTimesAndZeroDelays) {
+  // Equal times pop in seq order and zero-delay reschedules land after
+  // the event being run: neither may count as a violation.
+  for (const QueueKind kind :
+       {QueueKind::kBinaryHeap, QueueKind::kCalendar, QueueKind::kSortedList}) {
+    Simulator sim(kind);
+    RecordingTarget target;
+    target.sim = &sim;
+    for (u32 i = 0; i < 50; ++i) {
+      sim.schedule_at(static_cast<Time>(i % 5), typed(&target, EventKind::kWorkloadOp));
+    }
+    int chained = 0;
+    sim.schedule_at(2.0, [&] {
+      sim.schedule_after(0.0, [&] { ++chained; });
+    });
+    sim.run();
+    EXPECT_EQ(chained, 1);
+    EXPECT_EQ(sim.invariants().pop_order_violations, 0u) << queue_kind_name(kind);
+    EXPECT_TRUE(sim.invariants_ok()) << queue_kind_name(kind);
+  }
+}
+
 TEST_P(SimulatorTest, TypedEventsDispatchWithOperandsIntact) {
   Simulator sim(GetParam());
   RecordingTarget target;

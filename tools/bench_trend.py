@@ -12,6 +12,9 @@ on:
     --order=mtime (default) or the order given on the command line;
   * per group, every numeric key becomes one table row with the value per
     snapshot plus the relative change from first to last;
+  * tracked keys (TRACKED below, e.g. kernel_smoke's fig1_allocs_per_event)
+    are repeated after the tables as one first -> last trajectory line
+    each; they are informational and never gate;
   * if --baseline=FILE is given (the committed bench/kernel_baseline.json),
     the newest kernel_smoke snapshot's typed_speedup is gated against the
     baseline ratio at --tolerance (default 2%), mirroring kernel_smoke's
@@ -28,6 +31,8 @@ import os
 import sys
 
 GATE_KEY = "typed_speedup"
+# Informational per-commit trajectories: benchmark -> keys.
+TRACKED = {"kernel_smoke": ["fig1_allocs_per_event"]}
 
 
 def load(path):
@@ -78,6 +83,18 @@ def print_group(name, entries):
             else:
                 row += f"  {'-':>8}"
         print(row)
+
+
+def print_tracked(groups):
+    """One trajectory line per tracked key present in any snapshot."""
+    for name, keys in TRACKED.items():
+        entries = groups.get(name, [])
+        for key in keys:
+            values = [doc.get(key) for _, doc in entries]
+            if all(v is None for v in values):
+                continue
+            path = " -> ".join(fmt(v) for v in values)
+            print(f"\ntracked {name}.{key}: {path} (informational)")
 
 
 def gate(groups, baseline_path, tolerance):
@@ -142,6 +159,7 @@ def main(argv):
 
     for name in groups:
         print_group(name, groups[name])
+    print_tracked(groups)
     if baseline_path is not None:
         try:
             return gate(groups, baseline_path, tolerance)
