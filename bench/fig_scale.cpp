@@ -18,8 +18,8 @@
 // Flags:
 //   --point=N     run a single population instead of the sweep (CI smoke)
 //   --events=B    approximate event budget per point (default 2'000'000)
-//   --queue=NAME  binary-heap | calendar | sorted-list (default binary-heap,
-//                 the library default)
+//   --queue=NAME  binary-heap | sorted-list (default binary-heap, the
+//                 library default)
 //   --out=PATH    also write the rows as a JSON array
 //   --shards=LIST shard-sweep mode: run the n=10^4 and n=10^5 points under
 //                 every shard count in the comma list (e.g. 1,2,4,8),

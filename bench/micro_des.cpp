@@ -1,8 +1,8 @@
 // MICRO: simulation-kernel micro-benchmarks (google-benchmark).
 //
-// Covers the ablatable kernel choices: binary heap vs calendar queue
-// (classic hold model), the RNG engines, the variate generators, and the
-// end-to-end simulation throughput.
+// Covers the kernel's building blocks: the binary-heap queue (classic
+// hold model), typed-event churn through the Simulator, the RNG engines,
+// the variate generators, and the end-to-end simulation throughput.
 #include <benchmark/benchmark.h>
 
 #include "des/distributions.hpp"
@@ -41,10 +41,6 @@ BENCHMARK_CAPTURE(BM_QueueHoldModel, BinaryHeap, des::QueueKind::kBinaryHeap)
     ->Arg(64)
     ->Arg(1024)
     ->Arg(16384);
-BENCHMARK_CAPTURE(BM_QueueHoldModel, Calendar, des::QueueKind::kCalendar)
-    ->Arg(64)
-    ->Arg(1024)
-    ->Arg(16384);
 
 void BM_Xoshiro(benchmark::State& state) {
   des::Xoshiro256ss rng(1);
@@ -77,28 +73,8 @@ void BM_UniformIndexExcluding(benchmark::State& state) {
 }
 BENCHMARK(BM_UniformIndexExcluding);
 
-void BM_SimulatorEventChurn(benchmark::State& state, des::QueueKind kind) {
-  for (auto _ : state) {
-    des::Simulator sim(kind);
-    des::RngStream rng(1, "bench.churn");
-    u64 fired = 0;
-    std::function<void()> tick = [&] {
-      ++fired;
-      if (fired < 50'000) sim.schedule_after(rng.uniform01(), tick);
-    };
-    for (int i = 0; i < 16; ++i) sim.schedule_after(rng.uniform01(), tick);
-    sim.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 50'000);
-}
-BENCHMARK_CAPTURE(BM_SimulatorEventChurn, BinaryHeap, des::QueueKind::kBinaryHeap)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimulatorEventChurn, Calendar, des::QueueKind::kCalendar)
-    ->Unit(benchmark::kMillisecond);
-
-/// Self-rescheduling EventTarget: the typed-payload equivalent of the
-/// closure churn above, exercising the allocation-free hot path.
+/// Self-rescheduling EventTarget: 16 events in flight, each re-arming
+/// itself, exercising the allocation-free hot path.
 struct ChurnTarget final : des::EventTarget {
   des::Simulator* sim = nullptr;
   des::RngStream* rng = nullptr;
@@ -128,8 +104,6 @@ void BM_SimulatorTypedChurn(benchmark::State& state, des::QueueKind kind) {
 }
 BENCHMARK_CAPTURE(BM_SimulatorTypedChurn, BinaryHeap, des::QueueKind::kBinaryHeap)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimulatorTypedChurn, Calendar, des::QueueKind::kCalendar)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_FullSimulation(benchmark::State& state, des::QueueKind kind) {
   for (auto _ : state) {
@@ -146,8 +120,6 @@ void BM_FullSimulation(benchmark::State& state, des::QueueKind kind) {
   state.SetLabel("10k tu, 10 MHs, TP+BCS+QBC paired");
 }
 BENCHMARK_CAPTURE(BM_FullSimulation, BinaryHeap, des::QueueKind::kBinaryHeap)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullSimulation, Calendar, des::QueueKind::kCalendar)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,21 +2,11 @@
 //
 // The hot path of a run is the event queue: every message leg, mobility
 // timer, workload operation and protocol control transfer is one queue
-// entry. Representing those as type-erased std::function closures costs a
-// heap allocation per event (almost every capture list exceeds the
-// small-buffer optimisation) plus an indirect call through the wrapper.
-// Instead, an event is a small POD `EventPayload` — a tagged union of the
+// entry. An event is a small POD `EventPayload` — a tagged union of the
 // domain's recurring event shapes — dispatched through one virtual call on
 // a long-lived `EventTarget` (the network, a driver, a protocol). The
 // payload is stored inline in the queue entry, so scheduling an event
-// allocates nothing.
-//
-// A generic closure kind remains as the escape hatch for tests, analysis
-// probes and one-off experiment hooks. The Simulator parks the closure
-// beside the entry's queue slot, not in the entry, so every entry stays
-// trivially copyable and the queues move no std::function. A closure
-// rides the same (time, seq) ordering as a typed event, so mixing the two
-// representations cannot perturb a trace.
+// allocates nothing, and every entry stays trivially copyable.
 #pragma once
 
 #include "des/types.hpp"
@@ -25,9 +15,9 @@ namespace mobichk::des {
 
 /// Discriminator of the typed payload union. The domain's recurring event
 /// shapes are baked in (like TraceKind) so the kernel stays allocation-free
-/// for every production scheduling site.
+/// for every scheduling site.
 enum class EventKind : u8 {
-  kClosure = 0,         ///< Generic escape hatch; the Simulator runs the parked closure.
+  kTick = 0,            ///< Generic timer; the target interprets the operands itself.
   kMessageHop,          ///< A message leg (uplink, wired hop, downlink) completes.
   kHandoff,             ///< Mobility residence timer: a cell switch is due.
   kConnectivity,        ///< Mobility timer: a disconnect or reconnect is due.
@@ -37,6 +27,25 @@ enum class EventKind : u8 {
   kRecover,             ///< A crashed host finishes rollback + replay and resumes.
 };
 
+/// Number of EventKinds; sizes every per-kind table (probe counters,
+/// profiler dispatch buckets).
+inline constexpr usize kEventKindCount = static_cast<usize>(EventKind::kRecover) + 1;
+
+/// Exported name of each kind, indexed by its underlying value: the
+/// des.dispatch.<name> counters and the prof.dispatch.<name> phases.
+inline constexpr const char* kEventKindNames[kEventKindCount] = {
+    // kTick exports as "closure": mobibench observed_recovery's digests and
+    // tests/obs/golden_* pin that name; rename it when they are re-pinned.
+    "closure",
+    "message_hop",
+    "handoff",
+    "connectivity",
+    "workload_op",
+    "checkpoint_transfer",
+    "crash",
+    "recover",
+};
+
 class EventTarget;
 
 /// The typed payload stored inline in every queue entry. `sub`, `flags`,
@@ -44,8 +53,8 @@ class EventTarget;
 /// message slots, epochs, rounds, counts); the receiving EventTarget owns
 /// their interpretation per kind.
 struct EventPayload {
-  EventTarget* target = nullptr;  ///< Dispatch sink; null only for kClosure.
-  EventKind kind = EventKind::kClosure;
+  EventTarget* target = nullptr;  ///< Dispatch sink; required to schedule.
+  EventKind kind = EventKind::kTick;
   u8 sub = 0;      ///< Sub-discriminator within the target (e.g. which leg).
   u16 flags = 0;   ///< Flag bits (e.g. targeted / duplicate delivery).
   u32 a = 0;       ///< First operand (host id, MSS id, parked-message slot).
@@ -55,7 +64,7 @@ struct EventPayload {
 
 /// Sink of typed events. Implemented by the long-lived simulation actors
 /// (Network, WorkloadDriver, MobilityDriver, scheduling protocols); one
-/// virtual call replaces one heap-allocated closure per event.
+/// virtual call dispatches each event.
 class EventTarget {
  public:
   virtual void on_event(const EventPayload& payload) = 0;

@@ -1,13 +1,11 @@
 // Pending-event set abstractions for the simulation kernel.
 //
-// Three interchangeable implementations are provided:
-//  * BinaryHeapQueue  -- O(log n) push/pop, the robust default;
-//  * CalendarQueue    -- Brown's calendar queue, amortized O(1) under
-//                        stationary event-time distributions;
+// Two interchangeable implementations are provided:
+//  * BinaryHeapQueue  -- O(log n) push/pop, the production queue;
 //  * SortedListQueue  -- an eager, obviously-correct sorted list used as
 //                        the reference oracle by the determinism audit.
 //
-// All order events by (time, sequence number), so a simulation produces an
+// Both order events by (time, sequence number), so a simulation produces an
 // identical trace whichever queue it runs on (verified by tests and by the
 // determinism audit, sim/audit.hpp).
 //
@@ -44,7 +42,7 @@ struct EventHandle {
 };
 
 /// A scheduled event as stored in / returned by a queue; trivially
-/// copyable (a closure's callable waits in the Simulator, by slot).
+/// copyable.
 struct EventEntry {
   Time time = 0.0;
   u64 seq = 0;  ///< Global scheduling order; breaks time ties deterministically.
@@ -170,16 +168,15 @@ class EventQueue {
   virtual const char* name() const noexcept = 0;
 };
 
-/// Which queue implementation a Simulator should use.
+/// Which queue implementation a Simulator should use. The values are
+/// stable (1 was a since-removed queue): test names print them.
 enum class QueueKind : u8 {
-  kBinaryHeap,
-  kCalendar,
-  kSortedList,
+  kBinaryHeap = 0,
+  kSortedList = 2,
 };
 
 /// All queue kinds, in a stable order (used by the determinism audit).
-inline constexpr QueueKind kAllQueueKinds[] = {QueueKind::kBinaryHeap, QueueKind::kCalendar,
-                                               QueueKind::kSortedList};
+inline constexpr QueueKind kAllQueueKinds[] = {QueueKind::kBinaryHeap, QueueKind::kSortedList};
 
 /// Stable display name for a queue kind (matches EventQueue::name()).
 const char* queue_kind_name(QueueKind kind) noexcept;
@@ -232,73 +229,6 @@ class BinaryHeapQueue final : public EventQueue {
   usize live_ = 0;  ///< Entries neither cancelled nor popped.
   usize dead_ = 0;  ///< Cancelled entries still physically in the heap.
   u64 compactions_ = 0;
-};
-
-/// Brown's calendar queue: an array of day-buckets covering a rotating
-/// "year"; each bucket holds a sorted list of events. Resizes itself to
-/// keep ~1 event per bucket. Cancellation is lazy and handle-based, with
-/// the same dead-entry bound as the binary heap.
-///
-/// The queue self-tunes from the live event population: every resize
-/// re-estimates the bucket width from an even sample of pending-event
-/// gaps (robust to a dense near-future or a sparse far tail), and a
-/// scan-cost monitor — buckets examined per pop over a sliding window —
-/// triggers a re-tune when the current geometry makes seek_min walk too
-/// far. Tuning only changes internal layout; pop order is fixed by the
-/// (time, seq) comparator, so traces are identical at any geometry.
-class CalendarQueue final : public EventQueue {
- public:
-  CalendarQueue();
-
-  EventHandle push(EventEntry entry) override;
-  EventEntry pop() override;
-  Time peek_time() override;
-  Time peek_time_below(Time bound) override;
-  bool cancel(EventHandle handle) override;
-  bool empty() const override { return live_ == 0; }
-  usize size() const override { return live_; }
-  usize stored() const override { return live_ + dead_; }
-  u64 compactions() const noexcept override { return compactions_; }
-  const char* name() const noexcept override { return "calendar"; }
-
-  // -- tuning observability (pull-based, read by probes and benches) ----
-  usize bucket_count() const noexcept { return buckets_.size(); }
-  f64 bucket_width() const noexcept { return bucket_width_; }
-  /// Buckets examined across all seek_min scans (the queue's dominant
-  /// cost; ~1 per pop when well tuned).
-  u64 scan_steps() const noexcept { return scan_steps_; }
-  /// Re-tunes forced by the scan-cost monitor (excludes ordinary
-  /// grow/shrink resizes).
-  u64 retunes() const noexcept { return retunes_; }
-
- private:
-  usize bucket_of(Time t) const noexcept;
-  void resize(usize new_bucket_count);
-  void insert_sorted(std::vector<EventEntry>& bucket, EventEntry entry);
-  /// Moves the search cursor (bucket + year) to cover time `t`.
-  void reposition(Time t) noexcept;
-  /// Advances the cursor to the bucket whose tail is the next live event
-  /// and returns that bucket's index. Pre: live_ > 0.
-  usize seek_min();
-  /// Pops cancelled entries off a bucket's tail, releasing their slots.
-  void purge_tail(std::vector<EventEntry>& bucket);
-  void compact();
-
-  std::vector<std::vector<EventEntry>> buckets_;
-  SlotTable slots_;
-  f64 bucket_width_ = 1.0;
-  usize current_bucket_ = 0;  ///< Bucket the search cursor is on.
-  Time current_year_start_ = 0.0;
-  Time cursor_time_ = 0.0;    ///< Virtual time the cursor has reached.
-  Time last_popped_ = 0.0;
-  usize live_ = 0;  ///< Entries neither cancelled nor popped.
-  usize dead_ = 0;  ///< Cancelled entries still bucketed.
-  u64 compactions_ = 0;
-  u64 scan_steps_ = 0;         ///< Buckets examined by seek_min, cumulative.
-  u64 pops_ = 0;               ///< Events popped, cumulative.
-  u64 pops_at_tune_ = 0;       ///< pops_ when the monitor last checked.
-  u64 scan_at_tune_ = 0;       ///< scan_steps_ when the monitor last checked.
-  u64 retunes_ = 0;            ///< Monitor-forced re-tunes.
 };
 
 /// Factory for the queue implementations.

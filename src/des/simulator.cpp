@@ -12,10 +12,10 @@ Simulator::Simulator(std::unique_ptr<EventQueue> queue) : queue_(std::move(queue
   if (queue_ == nullptr) throw std::invalid_argument("Simulator: null event queue");
 }
 
-EventHandle Simulator::enqueue(Time t, EventEntry entry) {
+EventHandle Simulator::schedule_at(Time t, const EventPayload& payload) {
+  assert(payload.target != nullptr && "a payload needs a target");
   if (t < now_) throw std::invalid_argument("Simulator::schedule_at: time is in the past");
-  entry.time = t;
-  entry.seq = next_seq_++;
+  const EventEntry entry{t, next_seq_++, 0, payload};
   EventHandle handle;
   if (prof_ != nullptr) {
     const u64 t0 = obs::prof_now_ns();
@@ -27,19 +27,6 @@ EventHandle Simulator::enqueue(Time t, EventEntry entry) {
   ++invariants_.scheduled;
   if (queue_->size() > invariants_.max_pending) invariants_.max_pending = queue_->size();
   if (probe_ != nullptr) probe_->pushes->add();
-  return handle;
-}
-
-EventHandle Simulator::schedule_at(Time t, const EventPayload& payload) {
-  assert(payload.kind != EventKind::kClosure && "typed payload must not be kClosure");
-  assert(payload.target != nullptr && "typed payload needs a target");
-  return enqueue(t, EventEntry{0.0, 0, 0, payload});
-}
-
-EventHandle Simulator::schedule_at(Time t, EventFn fn) {
-  const EventHandle handle = enqueue(t, EventEntry{});  // payload defaults to kClosure
-  if (handle.slot >= fns_.size()) fns_.resize(handle.slot + 1);
-  fns_[handle.slot] = std::move(fn);
   return handle;
 }
 
@@ -55,7 +42,6 @@ void Simulator::cancel(EventHandle handle) {
     effective = queue_->cancel(handle);
   }
   if (effective) {
-    if (handle.slot < fns_.size()) fns_[handle.slot] = nullptr;
     ++invariants_.cancels_effective;
     if (probe_ != nullptr) probe_->cancels->add();
   }
@@ -82,11 +68,11 @@ void Simulator::pop_and_fire_timed() {
   prof_->queue_pop.add(t1 - t0);
   advance_to(e);
   if (probe_ != nullptr) observe_pop(e);
-  const usize k = static_cast<usize>(e.payload.kind);
   fire(e);
   // Dispatch time covers the handler body (and the negligible clock
   // advance); queue maintenance is accounted separately above.
-  prof_->dispatch[k < obs::ProfLane::kMaxEventKinds ? k : 0].add(obs::prof_now_ns() - t1);
+  static_assert(obs::ProfLane::kMaxEventKinds == kEventKindCount);
+  prof_->dispatch[static_cast<usize>(e.payload.kind)].add(obs::prof_now_ns() - t1);
   ++prof_->events;
   ++executed_;
   ++invariants_.executed;

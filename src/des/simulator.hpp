@@ -1,15 +1,12 @@
 // The discrete-event simulation engine.
 //
 // A Simulator owns a virtual clock and a pending-event set; entities
-// schedule typed event payloads (or closure escape hatches) to run at
-// future virtual times. Execution is strictly deterministic: events fire
-// in (time, scheduling-sequence) order, whatever their representation.
+// schedule typed event payloads to run at future virtual times. Execution
+// is strictly deterministic: events fire in (time, scheduling-sequence)
+// order.
 #pragma once
 
-#include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "des/event.hpp"
 #include "des/event_queue.hpp"
@@ -20,9 +17,6 @@
 namespace mobichk::des {
 
 class ShardedSimulator;
-
-/// Callback executed when a closure-kind event fires (the escape hatch).
-using EventFn = std::function<void()>;
 
 /// Cheap invariant counters maintained by the Simulator in every build.
 ///
@@ -76,14 +70,6 @@ class Simulator {
   EventHandle schedule_after(Time dt, const EventPayload& payload) {
     return schedule_at(now_ + dt, payload);
   }
-
-  /// Schedules closure `fn` at absolute time `t` — the escape hatch for
-  /// tests, probes and one-off hooks; pays a per-event allocation. The
-  /// closure waits beside its queue slot until it fires or is cancelled.
-  EventHandle schedule_at(Time t, EventFn fn);
-
-  /// Schedules closure `fn` after a delay of `dt` (must be >= 0).
-  EventHandle schedule_after(Time dt, EventFn fn) { return schedule_at(now_ + dt, std::move(fn)); }
 
   /// Cancels a previously scheduled event; no-op if it already fired.
   void cancel(EventHandle handle);
@@ -156,9 +142,6 @@ class Simulator {
   ShardedSimulator* sharded() const noexcept { return sharded_; }
 
  private:
-  /// Assigns the next sequence number and pushes the finished entry.
-  EventHandle enqueue(Time t, EventEntry entry);
-
   /// Advances the clock to a popped event's time, with invariant checks:
   /// the pop must not precede the clock, and its (time, seq) must
   /// strictly exceed the previous pop's. Every queue kind pops in that
@@ -166,23 +149,14 @@ class Simulator {
   /// a double pop is caught in O(1) from the last key alone.
   void advance_to(const EventEntry& e) noexcept;
 
-  /// Dispatches one popped event: typed payloads go through their
-  /// EventTarget, closures through the callable parked under their slot
-  /// (taken out first: anything it schedules may reuse the slot).
-  void fire(const EventEntry& e) {
-    if (e.payload.kind == EventKind::kClosure) {
-      const EventFn fn = std::exchange(fns_[e.slot], nullptr);
-      fn();
-    } else {
-      e.payload.target->on_event(e.payload);
-    }
-  }
+  /// Dispatches one popped event through its EventTarget.
+  static void fire(const EventEntry& e) { e.payload.target->on_event(e.payload); }
 
   /// Counts a popped event on the probe, bucketed by payload kind.
   void observe_pop(const EventEntry& e) noexcept {
+    static_assert(obs::KernelProbe::kMaxEventKinds == kEventKindCount);
     probe_->pops->add();
-    const usize k = static_cast<usize>(e.payload.kind);
-    if (k < obs::KernelProbe::kMaxEventKinds) probe_->dispatched[k]->add();
+    probe_->dispatched[static_cast<usize>(e.payload.kind)]->add();
   }
 
   /// The shared body of every run loop: pop the minimum event, advance
@@ -206,7 +180,6 @@ class Simulator {
   void pop_and_fire_timed();
 
   std::unique_ptr<EventQueue> queue_;
-  std::vector<EventFn> fns_;  ///< Parked closures, indexed by queue slot.
   const obs::KernelProbe* probe_ = nullptr;
   obs::ProfLane* prof_ = nullptr;
   ShardedSimulator* sharded_ = nullptr;

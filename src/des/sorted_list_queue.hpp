@@ -4,10 +4,10 @@
 // Deliberately the simplest implementation that can be correct — O(n)
 // push and cancel, O(1) pop — so the determinism audit (sim/audit.hpp)
 // and the queue-equivalence fuzz tests can use it as an oracle against
-// the optimised BinaryHeapQueue and CalendarQueue. It shares the
-// generation-stamped SlotTable so handle semantics (stale handles are
-// no-ops, slots recycle with a generation bump) are byte-for-byte the
-// contract the optimised queues must match.
+// the optimised BinaryHeapQueue. It shares the generation-stamped
+// SlotTable so handle semantics (stale handles are no-ops, slots recycle
+// with a generation bump) are byte-for-byte the contract the heap must
+// match.
 #pragma once
 
 #include <vector>

@@ -11,7 +11,6 @@
 // keeps the protocol-facing API unchanged.
 #pragma once
 
-#include <deque>
 #include <unordered_set>
 #include <vector>
 
@@ -60,7 +59,7 @@ class Mailbox {
 /// queues beats a map.
 struct BufferedAt {
   MssId at = 0;
-  std::deque<AppMessage> q;
+  std::vector<AppMessage> q;  ///< FIFO; drained whole, never popped singly.
 };
 
 /// All per-host network state, one array per field (index = dense HostId).
@@ -105,8 +104,7 @@ struct HostArena {
     auto& entries = buffered[host];
     for (usize i = 0; i < entries.size(); ++i) {
       if (entries[i].at != cell) continue;
-      std::vector<AppMessage> out(std::make_move_iterator(entries[i].q.begin()),
-                                  std::make_move_iterator(entries[i].q.end()));
+      std::vector<AppMessage> out = std::move(entries[i].q);
       entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(i));
       return out;
     }

@@ -1,25 +1,12 @@
 #include "obs/probes.hpp"
 
+#include <string>
+
 namespace mobichk::obs {
-namespace {
-
-// Names must track des::EventKind's enumerators (see des/event.hpp).
-constexpr const char* kDispatchNames[KernelProbe::kMaxEventKinds] = {
-    "des.dispatch.closure",
-    "des.dispatch.message_hop",
-    "des.dispatch.handoff",
-    "des.dispatch.connectivity",
-    "des.dispatch.workload_op",
-    "des.dispatch.checkpoint_transfer",
-    "des.dispatch.crash",
-    "des.dispatch.recover",
-};
-
-}  // namespace
 
 void KernelProbe::resolve(MetricRegistry& reg) {
   for (usize k = 0; k < kMaxEventKinds; ++k) {
-    dispatched[k] = &reg.counter(kDispatchNames[k]);
+    dispatched[k] = &reg.counter(std::string("des.dispatch.") + des::kEventKindNames[k]);
   }
   pushes = &reg.counter("des.queue.pushes");
   pops = &reg.counter("des.queue.pops");

@@ -8,13 +8,6 @@ namespace {
 
 thread_local ProfLane* tls_prof_lane = nullptr;
 
-// Phase names must track des::EventKind's enumerators, mirroring the
-// des.dispatch.* counters in probes.cpp so the two catalogs line up.
-constexpr const char* kKindNames[ProfLane::kMaxEventKinds] = {
-    "closure",  "message_hop", "handoff", "connectivity",
-    "workload_op", "checkpoint_transfer", "crash", "recover",
-};
-
 void push_phase(std::vector<MetricSample>& out, const std::string& name, const PhaseAccum& acc) {
   out.push_back(MetricSample{name + ".seconds", acc.seconds()});
   out.push_back(MetricSample{name + ".count", static_cast<f64>(acc.count)});
@@ -25,7 +18,7 @@ void push_phase(std::vector<MetricSample>& out, const std::string& name, const P
 void set_prof_tls_lane(ProfLane* lane) noexcept { tls_prof_lane = lane; }
 ProfLane* prof_tls_lane() noexcept { return tls_prof_lane; }
 
-const char* prof_kind_name(usize kind) noexcept { return kKindNames[kind]; }
+const char* prof_kind_name(usize kind) noexcept { return des::kEventKindNames[kind]; }
 
 Profiler::Profiler() : t0_ns_(prof_now_ns()) { ensure_lanes(1); }
 
@@ -102,7 +95,7 @@ std::vector<MetricSample> Profiler::snapshot() const {
   }
 
   for (usize k = 0; k < ProfLane::kMaxEventKinds; ++k) {
-    push_phase(out, std::string("prof.dispatch.") + kKindNames[k], sum.dispatch[k]);
+    push_phase(out, std::string("prof.dispatch.") + prof_kind_name(k), sum.dispatch[k]);
   }
   push_phase(out, "prof.queue.push", sum.queue_push);
   push_phase(out, "prof.queue.pop", sum.queue_pop);

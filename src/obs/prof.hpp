@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "des/event.hpp"
 #include "des/types.hpp"
 #include "obs/metrics.hpp"
 
@@ -84,7 +85,7 @@ struct ProfSlice {
 /// thread at a time (coordinator between windows, the owning shard thread
 /// inside them), so plain words suffice.
 struct alignas(64) ProfLane {
-  static constexpr usize kMaxEventKinds = 8;  ///< mirrors KernelProbe
+  static constexpr usize kMaxEventKinds = des::kEventKindCount;
   static constexpr usize kMaxProtoSlots = 8;
   /// Journal cap per lane: a 50k-window run stays well under this; past
   /// it the totals keep accumulating and only slices are dropped.
@@ -175,8 +176,8 @@ class Profiler {
 void set_prof_tls_lane(ProfLane* lane) noexcept;
 ProfLane* prof_tls_lane() noexcept;
 
-/// Name of dispatch bucket `kind` (tracks des::EventKind, same order as
-/// the des.dispatch.* counters). Pre: kind < ProfLane::kMaxEventKinds.
+/// Name of dispatch bucket `kind` (des::kEventKindNames, shared with the
+/// des.dispatch.* counters). Pre: kind < ProfLane::kMaxEventKinds.
 const char* prof_kind_name(usize kind) noexcept;
 
 }  // namespace mobichk::obs

@@ -1,13 +1,45 @@
 #include "sim/analysis.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
 #include "des/stats.hpp"
 #include "des/warmup.hpp"
 
 namespace mobichk::sim {
+
+namespace {
+
+/// Sampling chain: one kTick per window reads each protocol's N_tot
+/// growth since the previous tick and re-arms itself until the horizon.
+class WindowSampler final : public des::EventTarget {
+ public:
+  WindowSampler(Experiment& exp, const SteadyStateSpec& spec)
+      : series(spec.protocols.size()),
+        exp_(exp),
+        spec_(spec),
+        last_count_(spec.protocols.size(), 0) {}
+
+  void on_event(const des::EventPayload& tick) override {
+    for (usize s = 0; s < series.size(); ++s) {
+      const u64 now_count = exp_.log(s).n_tot();
+      series[s].push_back(static_cast<f64>(now_count - last_count_[s]));
+      last_count_[s] = now_count;
+    }
+    if (exp_.simulator().now() + spec_.window <= spec_.cfg.sim_length) {
+      exp_.simulator().schedule_after(spec_.window, tick);
+    }
+  }
+
+  std::vector<std::vector<f64>> series;  ///< Per slot: N_tot growth per window.
+
+ private:
+  Experiment& exp_;
+  const SteadyStateSpec& spec_;
+  std::vector<u64> last_count_;
+};
+
+}  // namespace
 
 void SteadyStateSpec::validate() const {
   cfg.validate();
@@ -25,23 +57,13 @@ std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& sp
   opts.params = spec.params;
   Experiment exp(spec.cfg, opts);
 
-  const usize slots = spec.protocols.size();
-  std::vector<std::vector<f64>> series(slots);
-  std::vector<u64> last_count(slots, 0);
-
-  // Sampling chain: one event per window, reading each protocol's log.
-  std::function<void()> tick = [&] {
-    for (usize s = 0; s < slots; ++s) {
-      const u64 now_count = exp.log(s).n_tot();
-      series[s].push_back(static_cast<f64>(now_count - last_count[s]));
-      last_count[s] = now_count;
-    }
-    if (exp.simulator().now() + spec.window <= spec.cfg.sim_length) {
-      exp.simulator().schedule_after(spec.window, tick);
-    }
-  };
+  WindowSampler sampler(exp, spec);
+  des::EventPayload tick;
+  tick.target = &sampler;
   exp.simulator().schedule_at(spec.window, tick);
   exp.run();
+  const std::vector<std::vector<f64>>& series = sampler.series;
+  const usize slots = series.size();
 
   std::vector<SteadyStateEstimate> out;
   out.reserve(slots);

@@ -2,9 +2,9 @@
 //
 // A run is specified to be a pure function of (SimConfig, seed) and
 // independent of the event-queue implementation: the queues order events
-// by (time, seq), so binary-heap, calendar and the reference sorted-list
-// queue must produce bit-identical traces. This module makes that
-// contract machine-checkable: it executes the same config under every
+// by (time, seq), so the binary heap and the reference sorted-list queue
+// must produce bit-identical traces. This module makes that contract
+// machine-checkable: it executes the same config under every
 // queue kind and cross-checks trace hashes, event counts, workload ops
 // and per-protocol N_tot, plus each run's engine invariant ledger.
 //
@@ -44,9 +44,9 @@ struct AuditReport {
   void print(std::ostream& os) const;
 };
 
-/// Runs `cfg` once per queue kind (binary-heap, calendar, sorted-list
-/// reference) with trace hashing forced on, and cross-checks the results
-/// against the first run. `opts.queue_kind` is ignored.
+/// Runs `cfg` once per queue kind (binary-heap, sorted-list reference)
+/// with trace hashing forced on, and cross-checks the results against the
+/// first run. `opts.queue_kind` is ignored.
 AuditReport audit_determinism(const SimConfig& cfg, ExperimentOptions opts = {});
 
 }  // namespace mobichk::sim

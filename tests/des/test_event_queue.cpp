@@ -8,6 +8,7 @@
 
 #include "des/distributions.hpp"
 #include "des/rng.hpp"
+#include "des/sorted_list_queue.hpp"
 
 namespace mobichk::des {
 namespace {
@@ -64,8 +65,8 @@ TEST_P(EventQueueTest, PeekTimeDoesNotRemove) {
 }
 
 TEST_P(EventQueueTest, PeekThenEarlierPushStaysOrdered) {
-  // A peek advances internal cursors (calendar queue); a subsequent push
-  // of an *earlier* event must still pop first.
+  // A peek must not commit to the current minimum: a subsequent push of
+  // an *earlier* event must still pop first.
   auto q = make();
   q->push(ev(10.0, 1));
   EXPECT_DOUBLE_EQ(q->peek_time(), 10.0);
@@ -188,8 +189,8 @@ TEST_P(EventQueueTest, InterleavedPushPop) {
 }
 
 TEST_P(EventQueueTest, HandlesManyEventsAcrossScales) {
-  // Time scales spanning several orders of magnitude exercise the
-  // calendar queue's resizing and year-jumping logic.
+  // Time scales spanning several orders of magnitude, pushed in
+  // shuffled order.
   auto q = make();
   RngStream rng(42, "queue-test");
   std::vector<f64> times;
@@ -204,8 +205,6 @@ TEST_P(EventQueueTest, HandlesManyEventsAcrossScales) {
   for (usize i = order.size(); i > 1; --i) {
     std::swap(order[i - 1], order[uniform_index(rng, i)]);
   }
-  // Monotone-nondecreasing insertion constraint of the calendar queue is
-  // satisfied because nothing has been popped yet (last_popped = 0).
   u64 seq = 1;
   for (const usize i : order) q->push(ev(times[i], seq++));
   std::sort(times.begin(), times.end());
@@ -318,8 +317,8 @@ TEST_P(EventQueueTest, PeekTimeBelowKeepsOutstandingHandlesValid) {
 }
 
 TEST_P(EventQueueTest, PeekTimeBelowThenEarlierPushStaysOrdered) {
-  // The probe may advance internal cursors (calendar queue); an earlier
-  // push afterwards must still surface first, in probe and pop order.
+  // The probe must not commit to the current minimum: an earlier push
+  // afterwards must still surface first, in probe and pop order.
   auto q = make();
   q->push(ev(10.0, 1));
   EXPECT_EQ(q->peek_time_below(5.0), kNoEventBelow);
@@ -369,7 +368,6 @@ INSTANTIATE_TEST_SUITE_P(AllQueues, EventQueueTest,
                          [](const ::testing::TestParamInfo<QueueKind>& pi) {
                            switch (pi.param) {
                              case QueueKind::kBinaryHeap: return "BinaryHeap";
-                             case QueueKind::kCalendar: return "Calendar";
                              case QueueKind::kSortedList: return "SortedList";
                            }
                            return "Unknown";
@@ -397,7 +395,7 @@ TEST(SlotTable, GenerationLifecycle) {
 
 TEST(QueueEquivalence, IdenticalPopSequences) {
   auto heap = make_event_queue(QueueKind::kBinaryHeap);
-  auto cal = make_event_queue(QueueKind::kCalendar);
+  auto oracle = make_event_queue(QueueKind::kSortedList);
   RngStream rng(11, "equiv");
   u64 seq = 1;
   f64 now = 0.0;
@@ -405,24 +403,72 @@ TEST(QueueEquivalence, IdenticalPopSequences) {
     if (rng.uniform01() < 0.6 || heap->empty()) {
       const f64 t = now + rng.uniform01() * 50.0;
       heap->push(ev(t, seq));
-      cal->push(ev(t, seq));
+      oracle->push(ev(t, seq));
       ++seq;
     } else {
       const EventEntry a = heap->pop();
-      const EventEntry b = cal->pop();
+      const EventEntry b = oracle->pop();
       EXPECT_DOUBLE_EQ(a.time, b.time);
       EXPECT_EQ(a.seq, b.seq);
       now = a.time;
     }
   }
   while (!heap->empty()) {
-    ASSERT_FALSE(cal->empty());
+    ASSERT_FALSE(oracle->empty());
     const EventEntry a = heap->pop();
-    const EventEntry b = cal->pop();
+    const EventEntry b = oracle->pop();
     EXPECT_DOUBLE_EQ(a.time, b.time);
     EXPECT_EQ(a.seq, b.seq);
   }
-  EXPECT_TRUE(cal->empty());
+  EXPECT_TRUE(oracle->empty());
+}
+
+TEST(QueueEquivalence, LargePopulationFuzzMatchesSortedOracle) {
+  // n ~ 1000 live events over mixed time scales (a dense near future and
+  // a far tail three decades out), then random push/pop/cancel churn: the
+  // heap must reproduce the oracle's (time, seq) sequence exactly through
+  // every compaction, and agree on every cancel outcome.
+  BinaryHeapQueue heap;
+  SortedListQueue oracle;
+  RngStream rng(99, "cal-fuzz");
+  u64 seq = 0;
+  Time now = 0.0;
+  std::vector<std::pair<EventHandle, EventHandle>> live;
+
+  auto push_one = [&] {
+    const f64 scale = rng.uniform01() < 0.8 ? 1.0 : 1000.0;
+    const Time t = now + rng.uniform01() * scale;
+    live.push_back({heap.push(ev(t, seq)), oracle.push(ev(t, seq))});
+    ++seq;
+  };
+
+  for (int i = 0; i < 1000; ++i) push_one();
+  for (int step = 0; step < 20'000; ++step) {
+    const f64 r = rng.uniform01();
+    if (r < 0.45 || heap.empty()) {
+      push_one();
+    } else if (r < 0.9) {
+      const EventEntry got = heap.pop();
+      const EventEntry want = oracle.pop();
+      ASSERT_DOUBLE_EQ(got.time, want.time) << "step " << step;
+      ASSERT_EQ(got.seq, want.seq) << "step " << step;
+      now = got.time;
+    } else if (!live.empty()) {
+      const usize j = static_cast<usize>(rng.uniform01() * static_cast<f64>(live.size())) %
+                      live.size();
+      ASSERT_EQ(heap.cancel(live[j].first), oracle.cancel(live[j].second)) << "step " << step;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(j));
+    }
+    ASSERT_EQ(heap.size(), oracle.size());
+  }
+  // Drain completely; sequences must agree to the last event.
+  while (!heap.empty()) {
+    const EventEntry got = heap.pop();
+    const EventEntry want = oracle.pop();
+    ASSERT_DOUBLE_EQ(got.time, want.time);
+    ASSERT_EQ(got.seq, want.seq);
+  }
+  EXPECT_TRUE(oracle.empty());
 }
 
 TEST(QueueEquivalence, FuzzedScheduleCancelRescheduleAcrossAllKinds) {
@@ -500,7 +546,6 @@ TEST(QueueFactory, NamesAreDistinctAndMatchKindNames) {
     EXPECT_STREQ(make_event_queue(kind)->name(), queue_kind_name(kind));
   }
   EXPECT_STREQ(make_event_queue(QueueKind::kBinaryHeap)->name(), "binary-heap");
-  EXPECT_STREQ(make_event_queue(QueueKind::kCalendar)->name(), "calendar");
   EXPECT_STREQ(make_event_queue(QueueKind::kSortedList)->name(), "sorted-list");
 }
 

@@ -73,6 +73,38 @@ TEST(Mailbox, DrainVisitsInOrderAndEmpties) {
 }
 
 // ---------------------------------------------------------------------------
+// MSS-held buffers
+// ---------------------------------------------------------------------------
+
+std::vector<u64> ids(const std::vector<AppMessage>& msgs) {
+  std::vector<u64> out;
+  for (const AppMessage& m : msgs) out.push_back(m.id);
+  return out;
+}
+
+TEST(HostArena, BuffersDrainPerCellInFifoOrderOnce) {
+  // One host with messages held at two MSSs, interleaved: each cell
+  // drains only its own messages, in arrival order, and a second drain
+  // of the same cell finds nothing.
+  HostArena arena;
+  arena.init(4);
+  arena.buffer_at(1, 2, make_msg(10));
+  arena.buffer_at(3, 2, make_msg(30));
+  arena.buffer_at(1, 2, make_msg(11));
+  arena.buffer_at(3, 2, make_msg(31));
+  arena.buffer_at(1, 2, make_msg(12));
+  EXPECT_EQ(arena.buffered_count(1, 2), 3u);
+  EXPECT_EQ(arena.buffered_count(3, 2), 2u);
+  EXPECT_EQ(ids(arena.drain_buffered(3, 2)), (std::vector<u64>{30, 31}));
+  EXPECT_TRUE(arena.drain_buffered(3, 2).empty());
+  EXPECT_EQ(arena.buffered_count(1, 2), 3u);  // the other cell is untouched
+  EXPECT_EQ(ids(arena.drain_buffered(1, 2)), (std::vector<u64>{10, 11, 12}));
+  EXPECT_TRUE(arena.drain_buffered(1, 2).empty());
+  EXPECT_EQ(arena.buffered_count(1, 2), 0u);
+  EXPECT_TRUE(arena.buffered[2].empty());
+}
+
+// ---------------------------------------------------------------------------
 // LocationDirectory vs a brute-force oracle
 // ---------------------------------------------------------------------------
 

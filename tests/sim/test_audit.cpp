@@ -18,7 +18,7 @@ SimConfig small_config(u64 seed = 1) {
 
 TEST(AuditDeterminism, AllQueueKindsAgreeOnFig1Point) {
   // Figure-smoke: one Fig. 1 point (homogeneous hosts, no disconnections)
-  // must hash identically under binary-heap, calendar and the reference
+  // must hash identically under the binary heap and the reference
   // sorted-list queue.
   SimConfig cfg = small_config(42);
   cfg.p_switch = 1.0;      // Fig. 1: P_switch = 1 (handoffs only)
@@ -30,10 +30,9 @@ TEST(AuditDeterminism, AllQueueKindsAgreeOnFig1Point) {
     report.print(os);
     return os.str();
   }();
-  ASSERT_EQ(report.runs.size(), 3u);
+  ASSERT_EQ(report.runs.size(), 2u);
   EXPECT_EQ(report.runs[0].queue_name, "binary-heap");
-  EXPECT_EQ(report.runs[1].queue_name, "calendar");
-  EXPECT_EQ(report.runs[2].queue_name, "sorted-list");
+  EXPECT_EQ(report.runs[1].queue_name, "sorted-list");
   EXPECT_NE(report.runs[0].trace_hash, 0u);
   for (const AuditRun& run : report.runs) {
     EXPECT_EQ(run.trace_hash, report.runs[0].trace_hash) << run.queue_name;
@@ -67,7 +66,7 @@ TEST(AuditDeterminism, MismatchesAreReported) {
   // Divergence detection itself must work: doctor a report by hand.
   AuditReport report = audit_determinism(small_config(5));
   ASSERT_TRUE(report.deterministic());
-  report.mismatches.push_back("calendar vs binary-heap: trace hash 1 != 2");
+  report.mismatches.push_back("sorted-list vs binary-heap: trace hash 1 != 2");
   EXPECT_FALSE(report.deterministic());
   std::ostringstream os;
   report.print(os);

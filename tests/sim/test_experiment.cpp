@@ -68,13 +68,13 @@ TEST(Experiment, DifferentSeedsDiffer) {
 }
 
 TEST(Experiment, QueueImplementationsProduceIdenticalRuns) {
-  ExperimentOptions heap_opts, cal_opts;
+  ExperimentOptions heap_opts, list_opts;
   heap_opts.collect_trace_hash = true;
   heap_opts.queue_kind = des::QueueKind::kBinaryHeap;
-  cal_opts.collect_trace_hash = true;
-  cal_opts.queue_kind = des::QueueKind::kCalendar;
+  list_opts.collect_trace_hash = true;
+  list_opts.queue_kind = des::QueueKind::kSortedList;
   const RunResult a = run_experiment(small_config(9), heap_opts);
-  const RunResult b = run_experiment(small_config(9), cal_opts);
+  const RunResult b = run_experiment(small_config(9), list_opts);
   EXPECT_EQ(a.trace_hash, b.trace_hash);
   for (usize i = 0; i < a.protocols.size(); ++i) {
     EXPECT_EQ(a.protocols[i].n_tot, b.protocols[i].n_tot);

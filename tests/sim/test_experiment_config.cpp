@@ -35,7 +35,7 @@ ExperimentConfig fully_populated() {
   cfg.network.wireless_bandwidth = 5.0e4;
   cfg.run.sim_length = 12'345.0;
   cfg.run.seed = 99;
-  cfg.run.queue_kind = des::QueueKind::kCalendar;
+  cfg.run.queue_kind = des::QueueKind::kSortedList;
   cfg.run.shards = 4;
   cfg.workload.comm_mean = 15.0;
   cfg.workload.p_send = 0.6;
@@ -111,7 +111,7 @@ TEST(ExperimentConfigJson, FullyPopulatedDocumentRoundTripsByteIdentically) {
   EXPECT_EQ(to_json(back), first);
   // Spot-check the semantic fields actually travelled.
   EXPECT_EQ(back.network.topology, net::MssTopologyKind::kRing);
-  EXPECT_EQ(back.run.queue_kind, des::QueueKind::kCalendar);
+  EXPECT_EQ(back.run.queue_kind, des::QueueKind::kSortedList);
   EXPECT_EQ(back.run.shards, 4u);
   EXPECT_EQ(back.mobility.model, MobilityModelKind::kParetoResidence);
   EXPECT_EQ(back.faults.mode, CrashMode::kCorrelated);
@@ -145,6 +145,17 @@ TEST(ExperimentConfigJson, UnknownEnumNamesThrow) {
   EXPECT_THROW(parse(R"({"faults": {"mode": "byzantine"}})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"data_plane": {"model": "ramdisk"}})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"data_plane": {"migration": "teleport"}})"), std::invalid_argument);
+}
+
+TEST(ExperimentConfigJson, RemovedQueueKindIsRefusedByName) {
+  // Older config documents may name the since-removed calendar queue;
+  // loading one must fail and say which name it refused.
+  try {
+    (void)parse(R"({"run": {"queue_kind": "calendar"}})");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("calendar"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ExperimentConfigConvention, UnsetFirstCrashTimeMeansMidRun) {

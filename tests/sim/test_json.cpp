@@ -267,7 +267,7 @@ TEST(JsonRoundTrip, ExperimentOptionsAllFields) {
   opts.with_storage = true;
   opts.verify_consistency = true;
   opts.verify_max_lines = 123;
-  opts.queue_kind = des::QueueKind::kCalendar;
+  opts.queue_kind = des::QueueKind::kSortedList;
   opts.collect_trace_hash = true;
 
   std::ostringstream os;
@@ -399,6 +399,10 @@ TEST(JsonRoundTrip, RejectsUnknownEnumNames) {
   EXPECT_THROW(figure_spec_from_json(json_parse(R"({"base": {"mobility_model": "warp"}})")),
                std::invalid_argument);
   EXPECT_THROW(experiment_options_from_json(json_parse(R"({"queue_kind": "skiplist"})")),
+               std::invalid_argument);
+  // The calendar queue was removed: an options or report document that
+  // names it is refused on load.
+  EXPECT_THROW(experiment_options_from_json(json_parse(R"({"queue_kind": "calendar"})")),
                std::invalid_argument);
   EXPECT_THROW(figure_spec_from_json(json_parse(R"({"protocols": ["NOPE"]})")),
                std::invalid_argument);

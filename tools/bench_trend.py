@@ -16,13 +16,15 @@ on:
     are repeated after the tables as one first -> last trajectory line
     each; they are informational and never gate;
   * if --baseline=FILE is given (the committed bench/kernel_baseline.json),
-    the newest kernel_smoke snapshot's typed_speedup is gated against the
-    baseline ratio at --tolerance (default 2%), mirroring kernel_smoke's
-    own --baseline gate so the check also runs where only the artifacts
-    are at hand.
+    the newest kernel_smoke snapshot's sim_heap_ratio (Simulator churn
+    events/s over the same churn through a bare binary heap) is gated
+    against the baseline ratio at the baseline's sim_heap_ratio_tolerance
+    (relative; --tolerance overrides it), mirroring kernel_smoke's own
+    --baseline gate so the check also runs where only the artifacts are
+    at hand.
 
 Exit status: 0 clean, 1 on a gated regression (or unreadable input).
-Usage: tools/bench_trend.py [--baseline=FILE] [--tolerance=0.02]
+Usage: tools/bench_trend.py [--baseline=FILE] [--tolerance=T]
                             [--order=mtime|argv] FILE [FILE ...]
 """
 
@@ -30,7 +32,8 @@ import json
 import os
 import sys
 
-GATE_KEY = "typed_speedup"
+GATE_KEY = "sim_heap_ratio"
+TOLERANCE_KEY = GATE_KEY + "_tolerance"
 # Informational per-commit trajectories: benchmark -> keys.
 TRACKED = {"kernel_smoke": ["fig1_allocs_per_event"]}
 
@@ -103,6 +106,10 @@ def gate(groups, baseline_path, tolerance):
     want = baseline.get(GATE_KEY)
     if not isinstance(want, (int, float)):
         raise ValueError(f"baseline {baseline_path} has no numeric {GATE_KEY!r}")
+    if tolerance is None:
+        tolerance = baseline.get(TOLERANCE_KEY)
+        if not isinstance(tolerance, (int, float)):
+            raise ValueError(f"baseline {baseline_path} has no numeric {TOLERANCE_KEY!r}")
     entries = groups.get("kernel_smoke")
     if not entries:
         print(f"bench_trend: gate skipped (no kernel_smoke snapshot)")
@@ -131,7 +138,7 @@ def gate(groups, baseline_path, tolerance):
 def main(argv):
     paths = [a for a in argv[1:] if not a.startswith("--")]
     baseline_path = None
-    tolerance = 0.02
+    tolerance = None  # the baseline's own tolerance unless overridden
     order = "mtime"
     for a in argv[1:]:
         if a.startswith("--baseline="):
